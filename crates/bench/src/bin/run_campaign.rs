@@ -118,16 +118,12 @@ fn execute<T: ParallelTarget>(
     sharded.run()
 }
 
-/// Writes the artifacts and archives the run; shared by every mode.
-#[allow(clippy::too_many_arguments)]
+/// Writes the artifacts and archives the run under its campaign key;
+/// shared by every mode.
 fn finish_run(
-    args: &CommonArgs,
     session: charm_bench::profile::Session,
     label: &str,
-    plan: &ExperimentPlan,
-    target_id: &str,
-    store: Option<&charm_store::Store>,
-    shards: u64,
+    archive: Option<(&charm_store::Store, &charm_store::CampaignKey)>,
     run: &CampaignRun,
 ) -> ExitCode {
     let name = format!("campaign_{label}.csv");
@@ -137,10 +133,9 @@ fn finish_run(
         charm_bench::write_artifact(&name, &report.to_jsonl());
         session.attach_virtual(label, report);
     }
-    if let Some(store) = store {
+    if let Some((store, key)) = archive {
         let cli_args: Vec<String> = std::env::args().collect();
-        let key = charm_store::CampaignKey::of(plan, target_id, Some(args.seed), shards);
-        match store.put_run(&key, label, &cli_args.join(" "), &run.data, run.report.as_ref()) {
+        match store.put_run(key, label, &cli_args.join(" "), &run.data, run.report.as_ref()) {
             Ok(id) => println!("archived run {id}"),
             Err(e) => {
                 eprintln!("archive failed: {e}");
@@ -199,7 +194,10 @@ fn run_benchmark(args: &CommonArgs, path: &str) -> ExitCode {
             }
             match campaign.run() {
                 Ok(run) => {
-                    finish_run(args, session, &label, &plan, &target_id, store.as_ref(), 1, &run)
+                    let archive = store.map(|store| {
+                        (store, charm_store::CampaignKey::of(&plan, &target_id, Some(args.seed), 1))
+                    });
+                    finish_run(session, &label, archive.as_ref().map(|(s, k)| (s, k)), &run)
                 }
                 Err(e) => {
                     eprintln!("campaign failed: {e}");
@@ -252,7 +250,9 @@ fn run_sharded_mode(
                 Ok(s) => s.expect("store flag present"),
                 Err(code) => return code,
             };
-            let checkpoint = match store.session(plan, &target_id, Some(args.seed), shards as u64) {
+            let key =
+                charm_store::CampaignKey::of(plan, &target_id, Some(args.seed), shards as u64);
+            let checkpoint = match store.open_session(key, plan.factor_names()) {
                 Ok(s) => s,
                 Err(e) => {
                     eprintln!("cannot open checkpoint session: {e}");
@@ -294,8 +294,8 @@ fn run_sharded_mode(
     };
     match result {
         Ok(run) => {
-            let store = store_ctx.as_ref().map(|(store, _)| store);
-            finish_run(args, session, label, plan, &target_id, store, shards as u64, &run)
+            let archive = store_ctx.as_ref().map(|(store, checkpoint)| (store, checkpoint.key()));
+            finish_run(session, label, archive, &run)
         }
         Err(e) => {
             eprintln!("campaign failed: {e}");

@@ -13,6 +13,7 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::collections::HashMap;
 use std::fmt;
+use std::fmt::Write as _;
 
 /// One row of an experiment plan: a full assignment of factor levels plus
 /// the replicate index within its combination.
@@ -141,11 +142,13 @@ impl ExperimentPlan {
         out.push_str(&self.factor_names.join(","));
         out.push_str(",replicate\n");
         for row in &self.rows {
-            let vals: Vec<String> = row.levels.iter().map(|l| l.to_string()).collect();
-            out.push_str(&vals.join(","));
-            out.push(',');
-            out.push_str(&row.replicate.to_string());
-            out.push('\n');
+            for (i, l) in row.levels.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                write!(out, "{l}").expect("writing to a String cannot fail");
+            }
+            writeln!(out, ",{}", row.replicate).expect("writing to a String cannot fail");
         }
         out
     }

@@ -86,4 +86,49 @@ proptest! {
         b.shuffle(seed2);
         prop_assert_eq!(a.sequential(), b.sequential());
     }
+
+    /// `to_csv` writes levels straight into its buffer; its bytes (and
+    /// so every plan hash and run ID derived from them) equal the
+    /// per-row `Vec<String>` + `join` rendering it replaced, for zero
+    /// or more factors of every level kind.
+    #[test]
+    fn plan_csv_matches_the_joined_rendering(
+        kinds in prop::collection::vec(0u8..4, 0..4),
+        raw in prop::collection::vec(any::<u64>(), 1..40),
+        reps in 1u32..4,
+        seed in any::<u64>(),
+    ) {
+        let names: Vec<String> = (0..kinds.len()).map(|i| format!("f{i}")).collect();
+        let mut draw = raw.iter().cycle().copied();
+        let mut rows = Vec::new();
+        for _ in 0..raw.len() {
+            let levels: Vec<Level> = kinds
+                .iter()
+                .map(|&k| {
+                    let r = draw.next().unwrap();
+                    match k {
+                        0 => Level::Int(r as i64),
+                        1 => Level::Float(f64::from_bits(r)),
+                        2 => Level::Text(format!("t{}", r % 7)),
+                        _ => Level::Flag(r & 1 == 1),
+                    }
+                })
+                .collect();
+            rows.extend((0..reps).map(|replicate| PlanRow { levels: levels.clone().into(), replicate }));
+        }
+        let mut plan = ExperimentPlan::new(names, rows).unwrap();
+        plan.shuffle(seed);
+
+        let mut joined = String::new();
+        joined.push_str(&plan.factor_names().join(","));
+        joined.push_str(",replicate\n");
+        for row in plan.rows() {
+            let vals: Vec<String> = row.levels.iter().map(|l| l.to_string()).collect();
+            joined.push_str(&vals.join(","));
+            joined.push(',');
+            joined.push_str(&row.replicate.to_string());
+            joined.push('\n');
+        }
+        prop_assert_eq!(plan.to_csv(), joined);
+    }
 }

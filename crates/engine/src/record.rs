@@ -9,7 +9,7 @@
 //! measurement.
 
 use charm_design::factors::{Level, Levels};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::fmt::Write as _;
 
@@ -244,31 +244,45 @@ impl Campaign {
         let n_factors = cols.len() - FIXED_COLS.len();
         let factor_names: Vec<String> = cols[..n_factors].iter().map(|s| s.to_string()).collect();
 
+        // Re-intern on read: every row of one design cell shares one
+        // tuple, keyed by the row's raw factor-prefix text (`Level::parse`
+        // is deterministic), restoring the columnar layout the engine
+        // wrote the file from even when the run order was randomized.
+        let mut interned: HashMap<&str, Levels> = HashMap::new();
         let mut records: Vec<RawRecord> = Vec::new();
-        let mut last: Option<Levels> = None;
         for line in lines {
-            let fields: Vec<&str> = line.split(',').map(str::trim).collect();
-            if fields.len() != cols.len() {
-                return Err(CampaignParseError::BadRow(line.to_string()));
+            let bad_row = || CampaignParseError::BadRow(line.to_string());
+            let (prefix, fixed) = match n_factors {
+                0 => ("", line),
+                n => {
+                    let (cut, _) = line.match_indices(',').nth(n - 1).ok_or_else(bad_row)?;
+                    (&line[..cut], &line[cut + 1..])
+                }
+            };
+            let mut fields = fixed.split(',').map(str::trim);
+            let mut next = || fields.next().ok_or_else(bad_row);
+            let (replicate, sequence, start_us, value) = (next()?, next()?, next()?, next()?);
+            if fields.next().is_some() {
+                return Err(bad_row());
             }
-            // Re-intern on read: consecutive rows of one design cell
-            // share one tuple, restoring the columnar layout the engine
-            // wrote the file from.
-            let parsed: Vec<Level> = fields[..n_factors].iter().map(|s| Level::parse(s)).collect();
-            let levels = match &last {
-                Some(prev) if *prev == parsed => prev.clone(),
-                _ => {
-                    let fresh: Levels = parsed.into();
-                    last = Some(fresh.clone());
+            let levels = match interned.get(prefix) {
+                Some(levels) => levels.clone(),
+                None => {
+                    let fresh: Levels = match n_factors {
+                        0 => Levels::from(Vec::new()),
+                        _ => prefix.split(',').map(|s| Level::parse(s.trim())).collect(),
+                    };
+                    interned.insert(prefix, fresh.clone());
                     fresh
                 }
             };
-            let parse_err = || CampaignParseError::BadRow(line.to_string());
-            let replicate = fields[n_factors].parse().map_err(|_| parse_err())?;
-            let sequence = fields[n_factors + 1].parse().map_err(|_| parse_err())?;
-            let start_us = fields[n_factors + 2].parse().map_err(|_| parse_err())?;
-            let value = fields[n_factors + 3].parse().map_err(|_| parse_err())?;
-            records.push(RawRecord { levels, replicate, sequence, start_us, value });
+            records.push(RawRecord {
+                levels,
+                replicate: replicate.parse().map_err(|_| bad_row())?,
+                sequence: sequence.parse().map_err(|_| bad_row())?,
+                start_us: start_us.parse().map_err(|_| bad_row())?,
+                value: value.parse().map_err(|_| bad_row())?,
+            });
         }
         Ok(Campaign { metadata, factor_names, records })
     }

@@ -4,10 +4,11 @@
 //! profile-cache capacity, and any checkpoint kill/resume pattern.
 
 use charm_design::doe::FullFactorial;
-use charm_design::plan::ExperimentPlan;
-use charm_design::Factor;
+use charm_design::factors::Levels;
+use charm_design::plan::{ExperimentPlan, PlanRow};
+use charm_design::{Factor, Level};
 use charm_engine::checkpoint::{CheckpointError, CheckpointSink, ShardCheckpoint};
-use charm_engine::record::Campaign;
+use charm_engine::record::{Campaign, CampaignParseError, RawRecord};
 use charm_engine::target::{MemoryTarget, NetworkTarget, ParallelTarget};
 use charm_engine::{batch_bounds, batch_count, effective_workers};
 use charm_obs::Observer;
@@ -481,6 +482,106 @@ proptest! {
         }
         if workers == 1 {
             prop_assert_eq!(bounds.len(), 1);
+        }
+    }
+}
+
+/// A level of `kind` drawn from `raw`, chosen so its CSV text parses
+/// back to the same variant: `Float`s keep a fractional part, `Text`
+/// is never numeric or boolean.
+fn level_of(kind: u8, raw: u64) -> Level {
+    match kind % 4 {
+        0 => Level::Int(raw as i64),
+        1 => {
+            let f = f64::from_bits(raw);
+            Level::Float(if f.is_finite() && f.fract() != 0.0 {
+                f
+            } else {
+                (raw % 1000) as f64 + 0.25
+            })
+        }
+        2 => Level::Text(format!("t{}_{}", raw % 5, raw % 3)),
+        _ => Level::Flag(raw & 1 == 1),
+    }
+}
+
+/// A finite value drawn from raw bits.
+fn finite(raw: u64) -> f64 {
+    let f = f64::from_bits(raw);
+    if f.is_finite() {
+        f
+    } else {
+        raw as f64
+    }
+}
+
+/// A campaign of `cells` design cells × `reps` replicates over factors
+/// of the given level kinds, run in a randomized order.
+fn random_campaign(
+    kinds: &[u8],
+    cells: usize,
+    reps: u32,
+    raw: &[u64],
+    order_seed: u64,
+) -> Campaign {
+    let factor_names: Vec<String> = (0..kinds.len()).map(|i| format!("f{i}")).collect();
+    let mut draw = raw.iter().cycle().copied();
+    let mut rows = Vec::new();
+    for _ in 0..cells {
+        let levels: Levels = kinds.iter().map(|&k| level_of(k, draw.next().unwrap())).collect();
+        rows.extend((0..reps).map(|replicate| PlanRow { levels: levels.clone(), replicate }));
+    }
+    let mut plan = ExperimentPlan::new(factor_names.clone(), rows).unwrap();
+    plan.shuffle(order_seed);
+    let records = plan
+        .rows()
+        .iter()
+        .enumerate()
+        .map(|(sequence, row)| RawRecord {
+            levels: row.levels.clone(),
+            replicate: row.replicate,
+            sequence: sequence as u64,
+            start_us: finite(draw.next().unwrap()),
+            value: finite(draw.next().unwrap()),
+        })
+        .collect();
+    let metadata = [("platform".to_string(), "m".to_string())].into_iter().collect();
+    Campaign { metadata, factor_names, records }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `from_csv` inverts `to_csv` for randomized-order campaigns with
+    /// zero or more factors of every level kind, hands every row of one
+    /// design cell the same shared tuple, and rejects rows with too few
+    /// or too many fields.
+    #[test]
+    fn campaign_csv_round_trips_and_interns_per_cell(
+        kinds in prop::collection::vec(0u8..4, 0..4),
+        cells in 1usize..8,
+        reps in 1u32..5,
+        raw in prop::collection::vec(any::<u64>(), 16..64),
+        order_seed in any::<u64>(),
+    ) {
+        let campaign = random_campaign(&kinds, cells, reps, &raw, order_seed);
+        let csv = campaign.to_csv();
+        let back = Campaign::from_csv(&csv).unwrap();
+        prop_assert_eq!(&back, &campaign);
+
+        let mut shared: Vec<(&Levels, usize)> = Vec::new();
+        for r in &back.records {
+            match shared.iter().find(|(levels, _)| **levels == r.levels) {
+                Some((_, id)) => prop_assert_eq!(*id, r.levels.shared_id(), "cell not interned"),
+                None => shared.push((&r.levels, r.levels.shared_id())),
+            }
+        }
+
+        let row = csv.lines().last().unwrap();
+        let (short, _) = row.rsplit_once(',').unwrap();
+        for bad in [short.to_string(), format!("{row},0")] {
+            let err = Campaign::from_csv(&format!("{csv}{bad}\n")).unwrap_err();
+            prop_assert_eq!(err, CampaignParseError::BadRow(bad));
         }
     }
 }

@@ -95,7 +95,6 @@ struct Job {
     shards: u64,
     observe: bool,
     resume: bool,
-    key: CampaignKey,
     session: CheckpointSession,
     cancel: CancelToken,
     tx: Sender<Event>,
@@ -503,7 +502,7 @@ fn handle_submit(
     // The checkpoint session decides resume-vs-fresh and is the sink
     // the engine streams through. Opening it also guards against
     // truncated-ID collisions in the checkpoint trail.
-    let session = match shared.store.session(&plan, &target_id, Some(seed), shards) {
+    let session = match shared.store.open_session(key, plan.factor_names()) {
         Ok(s) => s,
         Err(e) => {
             shared.metrics.rollback_admit(tenant);
@@ -528,7 +527,6 @@ fn handle_submit(
         shards,
         observe,
         resume,
-        key,
         session,
         cancel: cancel.clone(),
         tx,
@@ -670,7 +668,7 @@ fn execute_job(shared: &Shared, job: Job) {
     match result {
         Ok(run) => {
             let archived = shared.store.put_run(
-                &job.key,
+                job.session.key(),
                 &job.label,
                 "charm_serve_d",
                 &run.data,

@@ -83,13 +83,13 @@ impl Sha256 {
     /// Consumes the hasher and returns the 32-byte digest.
     pub fn finalize(mut self) -> [u8; 32] {
         let bit_length = self.length.wrapping_mul(8);
-        // Padding: 0x80, zeros to 56 mod 64, then the 64-bit bit length.
-        self.update(&[0x80]);
-        while self.buffered != 56 {
-            self.update(&[0]);
-        }
-        self.length = 0; // padding bytes no longer count
-        self.update(&bit_length.to_be_bytes());
+        // Padding: 0x80, zeros to 56 mod 64, then the 64-bit bit length,
+        // absorbed in one call (at most 72 bytes: one or two blocks).
+        let zeros = (55 - self.buffered as isize).rem_euclid(64) as usize;
+        let mut padding = [0u8; 72];
+        padding[0] = 0x80;
+        padding[1 + zeros..9 + zeros].copy_from_slice(&bit_length.to_be_bytes());
+        self.update(&padding[..9 + zeros]);
         debug_assert_eq!(self.buffered, 0);
         let mut out = [0u8; 32];
         for (i, word) in self.h.iter().enumerate() {
@@ -140,9 +140,11 @@ pub fn sha256_hex(data: &[u8]) -> String {
 
 /// Lowercase hex rendering of raw digest bytes.
 pub fn hex(bytes: &[u8]) -> String {
+    const DIGITS: &[u8; 16] = b"0123456789abcdef";
     let mut out = String::with_capacity(bytes.len() * 2);
-    for b in bytes {
-        out.push_str(&format!("{b:02x}"));
+    for &b in bytes {
+        out.push(DIGITS[usize::from(b >> 4)] as char);
+        out.push(DIGITS[usize::from(b & 0x0f)] as char);
     }
     out
 }

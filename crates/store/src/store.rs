@@ -30,8 +30,10 @@ use charm_engine::{CampaignData, RawRecord, Target};
 use charm_obs::CampaignReport;
 use std::collections::BTreeMap;
 use std::fmt;
+use std::fmt::Write as _;
 use std::fs;
 use std::path::{Path, PathBuf};
+use std::thread;
 
 /// A run's content-derived identity: 32 lowercase hex characters
 /// (the first 16 bytes of the derivation hash).
@@ -329,7 +331,19 @@ impl Store {
         seed: Option<u64>,
         shards: u64,
     ) -> Result<CheckpointSession, StoreError> {
-        let key = CampaignKey::of(plan, target, seed, shards);
+        self.open_session(CampaignKey::of(plan, target, seed, shards), plan.factor_names())
+    }
+
+    /// Opens the checkpoint session for an already derived `key` (see
+    /// [`Store::session`]). Callers that also dedupe or archive under
+    /// the key derive it once and read it back with
+    /// [`CheckpointSession::key`], so the plan is rendered and hashed
+    /// once per campaign.
+    pub fn open_session(
+        &self,
+        key: CampaignKey,
+        factor_names: &[String],
+    ) -> Result<CheckpointSession, StoreError> {
         let id = key.run_id();
         let dir = self.run_dir(&id);
         // Guard against a truncated-ID collision before any write.
@@ -340,7 +354,7 @@ impl Store {
         }
         let checkpoints = dir.join("checkpoints");
         fs::create_dir_all(&checkpoints).map_err(|e| io_err(&checkpoints, e))?;
-        Ok(CheckpointSession { dir, key, run_id: id, factor_names: plan.factor_names().to_vec() })
+        Ok(CheckpointSession { dir, key, run_id: id, factor_names: factor_names.to_vec() })
     }
 
     /// Archives a finished campaign under `key` (see [`CampaignKey::of`]),
@@ -356,6 +370,10 @@ impl Store {
     /// fleet reports group by it. The archiving host's machine facts
     /// (logical cores, OS, `CHARM_*` overrides) are captured into the
     /// manifest at this point.
+    ///
+    /// Checkpoint segments already in the run directory are hashed on a
+    /// second thread while this one renders, writes and hashes
+    /// `records.csv`.
     pub fn put_run(
         &self,
         key: &CampaignKey,
@@ -366,7 +384,6 @@ impl Store {
     ) -> Result<RunId, StoreError> {
         let id = key.run_id();
         let dir = self.run_dir(&id);
-        let records_csv = data.to_csv();
         if let Some(manifest) = self.try_manifest(&id)? {
             if !key.matches(&manifest) {
                 return Err(collision(&id, &manifest, key));
@@ -374,7 +391,7 @@ impl Store {
             // Same identity: only a true dedupe (identical record
             // bytes) may short-circuit. The caller must never be told
             // "archived" while its data is quietly thrown away.
-            let incoming = sha256_hex(records_csv.as_bytes());
+            let incoming = sha256_hex(data.to_csv().as_bytes());
             return match manifest.artifact("records.csv") {
                 Some(a) if a.sha256 == incoming => Ok(id),
                 Some(a) => Err(StoreError::Collision {
@@ -389,31 +406,19 @@ impl Store {
             };
         }
         fs::create_dir_all(&dir).map_err(|e| io_err(&dir, e))?;
-        let mut artifacts = Vec::new();
-        write_atomic(&dir.join("records.csv"), &records_csv)?;
-        artifacts.push(artifact("records.csv", &records_csv));
-        if let Some(report) = report {
-            let jsonl = report.to_jsonl();
-            write_atomic(&dir.join("report.jsonl"), &jsonl)?;
-            artifacts.push(artifact("report.jsonl", &jsonl));
-        }
         // Fold in any checkpoint segments left by the session, so the
         // manifest pins the resume trail too.
-        let checkpoints = dir.join("checkpoints");
-        if checkpoints.is_dir() {
-            let mut names: Vec<String> = fs::read_dir(&checkpoints)
-                .map_err(|e| io_err(&checkpoints, e))?
-                .filter_map(|e| e.ok())
-                .filter_map(|e| e.file_name().into_string().ok())
-                .filter(|n| n.ends_with(".csv"))
-                .collect();
-            names.sort();
-            for name in names {
-                let path = checkpoints.join(&name);
-                let contents = fs::read_to_string(&path).map_err(|e| io_err(&path, e))?;
-                artifacts.push(artifact(&format!("checkpoints/{name}"), &contents));
-            }
-        }
+        let (own, segments) = thread::scope(|s| {
+            let segments = s.spawn(|| segment_artifacts(&dir.join("checkpoints")));
+            let own = put_artifact(&dir, "records.csv", &data.to_csv()).and_then(|records| {
+                let report = report
+                    .map(|r| put_artifact(&dir, "report.jsonl", &r.to_jsonl()))
+                    .transpose()?;
+                Ok([Some(records), report])
+            });
+            (own, segments.join().expect("segment hashing thread panicked"))
+        });
+        let mut artifacts: Vec<Artifact> = own?.into_iter().flatten().chain(segments?).collect();
         artifacts.sort_by(|a, b| a.name.cmp(&b.name));
         let manifest = Manifest {
             run_id: id.as_str().to_string(),
@@ -460,35 +465,74 @@ impl Store {
     /// Loads a finalized run, verifying *every* archived artifact's
     /// digest against the manifest before returning anything. One
     /// flipped byte anywhere in the run directory is a
-    /// [`StoreError::Tampered`].
+    /// [`StoreError::Tampered`]; when several artifacts fail, the error
+    /// names the first in manifest order.
+    ///
+    /// `records.csv` is hashed on one scoped thread while this thread
+    /// parses it; the other artifacts are read and hashed on a second.
+    /// Nothing is returned until every thread has finished and every
+    /// digest matched.
     pub fn get(&self, id: &RunId) -> Result<StoredRun, StoreError> {
         let manifest = self.manifest(id)?;
         let dir = self.run_dir(id);
-        let mut records_csv = None;
-        let mut report_jsonl = None;
-        for a in &manifest.artifacts {
+        let read = |a: &Artifact| {
             let path = dir.join(&a.name);
-            let contents = fs::read_to_string(&path).map_err(|e| io_err(&path, e))?;
-            let actual = sha256_hex(contents.as_bytes());
-            if actual != a.sha256 {
-                return Err(StoreError::Tampered {
+            fs::read_to_string(&path).map_err(|e| io_err(&path, e))
+        };
+        let verify = |a: &Artifact, actual: String| {
+            if actual == a.sha256 {
+                Ok(())
+            } else {
+                Err(StoreError::Tampered {
                     run_id: id.to_string(),
                     artifact: a.name.clone(),
                     expected: a.sha256.clone(),
                     actual,
-                });
+                })
             }
-            match a.name.as_str() {
-                "records.csv" => records_csv = Some(contents),
-                "report.jsonl" => report_jsonl = Some(contents),
-                _ => {}
+        };
+        let records_at = manifest.artifacts.iter().position(|a| a.name == "records.csv");
+        let (mut records, others) = thread::scope(|s| {
+            // Every other artifact; only report.jsonl's text is kept.
+            let others = s.spawn(|| {
+                (manifest.artifacts.iter().enumerate())
+                    .filter(|&(i, _)| Some(i) != records_at)
+                    .map(|(_, a)| {
+                        let text = read(a)?;
+                        verify(a, sha256_hex(text.as_bytes()))?;
+                        Ok((a.name == "report.jsonl").then_some(text))
+                    })
+                    .collect::<Vec<Result<Option<String>, StoreError>>>()
+            });
+            let records = records_at.map(|i| {
+                let a = &manifest.artifacts[i];
+                let text = read(a)?;
+                let (actual, data) = thread::scope(|s| {
+                    let digest = s.spawn(|| sha256_hex(text.as_bytes()));
+                    let data = CampaignData::from_csv(&text);
+                    (digest.join().expect("records digest thread panicked"), data)
+                });
+                verify(a, actual).map(|()| data)
+            });
+            (records, others.join().expect("artifact verification thread panicked"))
+        });
+        // Fail on the first bad artifact in manifest order, whichever
+        // thread saw it.
+        let mut others = others.into_iter();
+        let mut data = None;
+        let mut report_jsonl = None;
+        for i in 0..manifest.artifacts.len() {
+            if Some(i) == records_at {
+                data = records.take().transpose()?;
+            } else if let Some(text) = others.next().expect("one outcome per artifact")? {
+                report_jsonl = Some(text);
             }
         }
-        let records_csv = records_csv.ok_or_else(|| StoreError::Corrupt {
+        let data = data.ok_or_else(|| StoreError::Corrupt {
             path: dir.display().to_string(),
             message: "manifest lists no records.csv".to_string(),
         })?;
-        let data = CampaignData::from_csv(&records_csv).map_err(|e| StoreError::Corrupt {
+        let data = data.map_err(|e| StoreError::Corrupt {
             path: dir.join("records.csv").display().to_string(),
             message: e.to_string(),
         })?;
@@ -597,6 +641,36 @@ fn artifact(name: &str, contents: &str) -> Artifact {
     }
 }
 
+/// Writes `contents` to `dir/name` atomically and returns its manifest
+/// entry.
+fn put_artifact(dir: &Path, name: &str, contents: &str) -> Result<Artifact, StoreError> {
+    write_atomic(&dir.join(name), contents)?;
+    Ok(artifact(name, contents))
+}
+
+/// Manifest entries for the `.csv` segments under `checkpoints`, sorted
+/// by name; none when the directory does not exist.
+fn segment_artifacts(checkpoints: &Path) -> Result<Vec<Artifact>, StoreError> {
+    if !checkpoints.is_dir() {
+        return Ok(Vec::new());
+    }
+    let mut names: Vec<String> = fs::read_dir(checkpoints)
+        .map_err(|e| io_err(checkpoints, e))?
+        .filter_map(|e| e.ok())
+        .filter_map(|e| e.file_name().into_string().ok())
+        .filter(|n| n.ends_with(".csv"))
+        .collect();
+    names.sort();
+    names
+        .iter()
+        .map(|name| {
+            let path = checkpoints.join(name);
+            let contents = fs::read_to_string(&path).map_err(|e| io_err(&path, e))?;
+            Ok(artifact(&format!("checkpoints/{name}"), &contents))
+        })
+        .collect()
+}
+
 fn collision(id: &RunId, stored: &Manifest, incoming: &CampaignKey) -> StoreError {
     let render = |plan_hash: &str, target: &str, seed: Option<u64>, shards: u64| {
         format!(
@@ -612,19 +686,19 @@ fn collision(id: &RunId, stored: &Manifest, incoming: &CampaignKey) -> StoreErro
     }
 }
 
-/// Digest of a segment's measurement body: the campaign-CSV rendering
-/// of its records (header + rows, no metadata comments). Stamped into
-/// the segment at save time and recomputed from the parsed records at
-/// load time, so a flipped value in a checkpoint is caught even though
-/// interrupted runs have no manifest to verify against yet.
-fn records_digest(factor_names: &[String], records: &[RawRecord]) -> String {
+/// A segment's measurement body: the campaign-CSV rendering of its
+/// records (header + rows, no metadata comments). Its digest is stamped
+/// into the segment at save time and recomputed from the parsed records
+/// at load time, so a flipped value in a checkpoint is caught even
+/// though interrupted runs have no manifest to verify against yet.
+fn records_body(factor_names: &[String], records: &[RawRecord]) -> String {
     let mut body = charm_engine::record::csv_header(factor_names);
     body.push('\n');
     for r in records {
         r.write_csv_row(&mut body).expect("writing to a String cannot fail");
         body.push('\n');
     }
-    sha256_hex(body.as_bytes())
+    body
 }
 
 /// The checkpoint sink for one campaign's run directory: what
@@ -645,6 +719,12 @@ impl CheckpointSession {
     /// The run ID this session's campaign addresses.
     pub fn run_id(&self) -> &RunId {
         &self.run_id
+    }
+
+    /// The campaign key this session was opened for — what
+    /// [`Store::put_run`] archives the finished campaign under.
+    pub fn key(&self) -> &CampaignKey {
+        &self.key
     }
 
     /// Whether this run directory holds any checkpoint segments — i.e.
@@ -672,23 +752,25 @@ impl CheckpointSink for CheckpointSession {
         shards: usize,
         checkpoint: &ShardCheckpoint,
     ) -> Result<(), CheckpointError> {
-        let mut metadata = BTreeMap::new();
-        metadata.insert("checkpoint_shard".to_string(), shard.to_string());
-        metadata.insert("checkpoint_shards".to_string(), shards.to_string());
-        metadata.insert("checkpoint_plan_hash".to_string(), self.key.plan_hash.clone());
-        metadata.insert("checkpoint_target".to_string(), self.key.target.clone());
-        metadata.insert(
-            "checkpoint_records_sha256".to_string(),
-            records_digest(&self.factor_names, &checkpoint.records),
-        );
-        metadata.insert("checkpoint_elapsed_us".to_string(), format!("{}", checkpoint.elapsed_us));
-        let segment = CampaignData {
-            metadata,
-            factor_names: self.factor_names.clone(),
-            records: checkpoint.records.clone(),
-        };
+        // The body is rendered once: hashed for the metadata, then
+        // written after it. The bytes are the campaign-CSV rendering of
+        // the segment (`CampaignData::to_csv`), which `load_shard` parses.
+        let body = records_body(&self.factor_names, &checkpoint.records);
+        let metadata = BTreeMap::from([
+            ("checkpoint_shard", shard.to_string()),
+            ("checkpoint_shards", shards.to_string()),
+            ("checkpoint_plan_hash", self.key.plan_hash.clone()),
+            ("checkpoint_target", self.key.target.clone()),
+            ("checkpoint_records_sha256", sha256_hex(body.as_bytes())),
+            ("checkpoint_elapsed_us", checkpoint.elapsed_us.to_string()),
+        ]);
+        let mut segment = String::with_capacity(body.len() + 512);
+        for (k, v) in &metadata {
+            writeln!(segment, "# {k}: {v}").expect("writing to a String cannot fail");
+        }
+        segment.push_str(&body);
         let path = self.segment_path(shard, shards);
-        write_atomic(&path, &segment.to_csv()).map_err(|e| CheckpointError(e.to_string()))
+        write_atomic(&path, &segment).map_err(|e| CheckpointError(e.to_string()))
     }
 
     fn load_shard(
@@ -740,7 +822,7 @@ impl CheckpointSink for CheckpointSession {
             )));
         }
         let expected = meta("checkpoint_records_sha256")?;
-        let actual = records_digest(&self.factor_names, &segment.records);
+        let actual = sha256_hex(records_body(&self.factor_names, &segment.records).as_bytes());
         if expected != actual {
             return Err(CheckpointError(format!(
                 "{}: segment records do not match their recorded digest \

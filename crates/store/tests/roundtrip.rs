@@ -570,3 +570,107 @@ fn select_filters_by_host_class() {
     assert_eq!(store.select(&both).unwrap().len(), 1);
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// An archived run with every kind of artifact: a sharded, observed and
+/// checkpointed campaign, so the manifest pins checkpoint segments,
+/// `records.csv` and `report.jsonl`.
+fn archive_every_artifact(store: &Store, seed: u64) -> (RunId, PathBuf) {
+    let plan = plan_of(seed);
+    let session = store.session(&plan, TARGET, Some(seed), 2).unwrap();
+    let target = NetworkTarget::new("taurus", presets::taurus_openmpi_tcp(seed));
+    let run = Campaign::new(&plan, target)
+        .shards(2)
+        .min_rows_per_shard(1)
+        .seed(seed)
+        .observer(Observer::default())
+        .store(&session)
+        .run()
+        .unwrap();
+    let id = store.put_run(session.key(), "bench", "", &run.data, run.report.as_ref()).unwrap();
+    let dir = store.root().join("runs").join(id.as_str());
+    (id, dir)
+}
+
+/// Flips one bit in the middle of `path`, returning the original bytes.
+fn flip_one_byte(path: &std::path::Path) -> Vec<u8> {
+    let original = std::fs::read(path).unwrap();
+    let mut bytes = original.clone();
+    let pos = bytes.len() / 2;
+    bytes[pos] ^= 0x01;
+    std::fs::write(path, bytes).unwrap();
+    original
+}
+
+fn tampered_artifact(store: &Store, id: &RunId) -> String {
+    match store.get(id) {
+        Err(StoreError::Tampered { artifact, .. }) => artifact,
+        other => panic!("expected Tampered, got {other:?}"),
+    }
+}
+
+#[test]
+fn get_names_whichever_artifact_was_tampered() {
+    let dir = scratch("tamper-each");
+    let store = Store::open(&dir).unwrap();
+    let (id, run_dir) = archive_every_artifact(&store, 61);
+    let names: Vec<String> =
+        store.manifest(&id).unwrap().artifacts.iter().map(|a| a.name.clone()).collect();
+    let segment = names.iter().find(|n| n.starts_with("checkpoints/")).unwrap().clone();
+    for name in ["records.csv", segment.as_str(), "report.jsonl"] {
+        assert!(names.iter().any(|n| n == name), "{name} is archived");
+        let path = run_dir.join(name);
+        let original = flip_one_byte(&path);
+        assert_eq!(tampered_artifact(&store, &id), name);
+        std::fs::write(&path, original).unwrap();
+        assert!(store.get(&id).is_ok(), "restored {name} verifies again");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn two_tampered_artifacts_always_name_the_first_in_manifest_order() {
+    let dir = scratch("tamper-two");
+    let store = Store::open(&dir).unwrap();
+    let (id, run_dir) = archive_every_artifact(&store, 67);
+    let names: Vec<String> =
+        store.manifest(&id).unwrap().artifacts.iter().map(|a| a.name.clone()).collect();
+    let last_segment = names.iter().rfind(|n| n.starts_with("checkpoints/")).unwrap().clone();
+    for pair in [["records.csv", "report.jsonl"], [last_segment.as_str(), "records.csv"]] {
+        let originals: Vec<Vec<u8>> =
+            pair.iter().map(|n| flip_one_byte(&run_dir.join(n))).collect();
+        let first = names.iter().find(|n| pair.contains(&n.as_str())).unwrap();
+        let expected = store.get(&id).unwrap_err();
+        assert!(matches!(&expected, StoreError::Tampered { artifact, .. } if artifact == first));
+        for _ in 0..20 {
+            assert_eq!(store.get(&id).unwrap_err(), expected);
+        }
+        for (name, original) in pair.iter().zip(originals) {
+            std::fs::write(run_dir.join(name), original).unwrap();
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn no_stored_run_is_returned_while_any_segment_digest_is_wrong() {
+    let dir = scratch("tamper-segments");
+    let store = Store::open(&dir).unwrap();
+    let (id, run_dir) = archive_every_artifact(&store, 71);
+    let segments: Vec<String> = store
+        .manifest(&id)
+        .unwrap()
+        .artifacts
+        .iter()
+        .map(|a| a.name.clone())
+        .filter(|n| n.starts_with("checkpoints/"))
+        .collect();
+    assert!(segments.len() > 1, "the campaign flushed several segments");
+    for name in &segments {
+        let path = run_dir.join(name);
+        let original = flip_one_byte(&path);
+        assert_eq!(&tampered_artifact(&store, &id), name);
+        std::fs::write(&path, original).unwrap();
+    }
+    assert!(store.get(&id).is_ok());
+    std::fs::remove_dir_all(&dir).ok();
+}
