@@ -46,13 +46,11 @@ pub mod descriptive;
 pub mod ecdf;
 pub mod error;
 pub mod histogram;
-pub mod kde;
 pub mod loess;
 pub mod modes;
 pub mod outliers;
 pub mod piecewise;
 pub mod prefix;
-pub mod ranktests;
 pub mod regression;
 pub mod segmented;
 pub mod sequence;

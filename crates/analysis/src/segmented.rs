@@ -73,6 +73,22 @@ fn robust_noise_variance(y_sorted_by_x: &[f64]) -> f64 {
     (sigma * sigma).max(f64::MIN_POSITIVE)
 }
 
+/// The per-segment penalty: `config.penalty`, or a BIC-style one derived
+/// from the robust noise estimate of `y` (sorted by x).
+fn segment_penalty(config: &SegmentConfig, y_sorted_by_x: &[f64]) -> f64 {
+    config.penalty.unwrap_or_else(|| {
+        // Floor the derived penalty above the numerical jitter of the
+        // O(1) prefix-sum SSE (~machine epsilon of the total variation):
+        // on numerically-exact data the noise estimate is 0 and sub-ulp
+        // SSE differences must not buy extra segments.
+        let n = y_sorted_by_x.len() as f64;
+        let my = y_sorted_by_x.iter().sum::<f64>() / n;
+        let syy: f64 = y_sorted_by_x.iter().map(|v| (v - my) * (v - my)).sum();
+        let bic = 2.0 * robust_noise_variance(y_sorted_by_x) * n.ln() * 2.0;
+        bic.max(64.0 * f64::EPSILON * syy)
+    })
+}
+
 /// Finds the optimal piecewise-linear segmentation of `(x, y)`.
 ///
 /// A dynamic program over data indices chooses where segments end; segment
@@ -88,16 +104,7 @@ pub fn segment(x: &[f64], y: &[f64], config: &SegmentConfig) -> Result<Segmentat
     }
     let (sx, sy) = sort_paired(x, y);
     let n = sx.len();
-    let penalty = config.penalty.unwrap_or_else(|| {
-        // Floor the derived penalty above the numerical jitter of the
-        // O(1) prefix-sum SSE (~machine epsilon of the total variation):
-        // on numerically-exact data the noise estimate is 0 and sub-ulp
-        // SSE differences must not buy extra segments.
-        let my = sy.iter().sum::<f64>() / n as f64;
-        let syy: f64 = sy.iter().map(|v| (v - my) * (v - my)).sum();
-        let bic = 2.0 * robust_noise_variance(&sy) * (n as f64).ln() * 2.0;
-        bic.max(64.0 * f64::EPSILON * syy)
-    });
+    let penalty = segment_penalty(config, &sy);
 
     let kmax = config.max_breaks + 1; // max segments
                                       // cost[j][k] = min penalized SSE of fitting y[0..j] with exactly k segments.
@@ -206,6 +213,73 @@ pub fn segment_with_k_breaks(
         });
     }
     Ok(seg)
+}
+
+/// The pre-optimisation search, kept as the oracle for property tests
+/// and benches: the same DP as [`segment`], but every candidate stretch
+/// pays an `O(j − i)` OLS refit (memoized across segment counts), so the
+/// whole search is `O(n³)`. [`segment`] must choose the same breakpoints
+/// on tie-free data and reach the same penalized optimum.
+pub mod reference {
+    use super::{segment_penalty, sort_paired, SegmentConfig};
+    use crate::prefix::naive_stretch_sse;
+    use std::collections::HashMap;
+
+    /// The optimal interior breakpoints of `(x, y)` and their penalized
+    /// score (`SSE + penalty·segments`). Returns no breakpoints and an
+    /// infinite score when no segmentation fits `config`.
+    pub fn segment(x: &[f64], y: &[f64], config: &SegmentConfig) -> (Vec<f64>, f64) {
+        let (x, y) = sort_paired(x, y);
+        let n = x.len();
+        let m = config.min_points_per_segment.max(2);
+        let penalty = segment_penalty(config, &y);
+        let kmax = config.max_breaks + 1;
+        let inf = f64::INFINITY;
+        let mut memo: HashMap<(usize, usize), f64> = HashMap::new();
+        let mut sse_of = |i: usize, j: usize| {
+            *memo.entry((i, j)).or_insert_with(|| naive_stretch_sse(&x, &y, i, j))
+        };
+        let mut cost = vec![vec![inf; kmax + 1]; n + 1];
+        let mut back = vec![vec![0usize; kmax + 1]; n + 1];
+        cost[0][0] = 0.0;
+        for k in 1..=kmax {
+            for j in (k * m)..=n {
+                for i in ((k - 1) * m)..=(j - m) {
+                    if cost[i][k - 1] == inf {
+                        continue;
+                    }
+                    let c = cost[i][k - 1] + sse_of(i, j);
+                    if c < cost[j][k] {
+                        cost[j][k] = c;
+                        back[j][k] = i;
+                    }
+                }
+            }
+        }
+        let mut best_k = 1;
+        let mut best_score = inf;
+        for (k, row) in cost[n].iter().enumerate().skip(1) {
+            let score = row + penalty * k as f64;
+            if score < best_score {
+                best_score = score;
+                best_k = k;
+            }
+        }
+        if best_score == inf {
+            return (Vec::new(), inf);
+        }
+        let mut splits = Vec::new();
+        let mut j = n;
+        for k in (1..=best_k).rev() {
+            let i = back[j][k];
+            if i > 0 {
+                splits.push(i);
+            }
+            j = i;
+        }
+        splits.sort_unstable();
+        (splits.iter().map(|&i| (x[i - 1] + x[i]) / 2.0).collect(), best_score)
+    }
 }
 
 #[cfg(test)]

@@ -8,6 +8,7 @@ use charm_analysis::outliers::{self, Rule};
 use charm_analysis::piecewise::PiecewiseLinear;
 use charm_analysis::prefix::{naive_stretch_sse, PrefixOls};
 use charm_analysis::regression;
+use charm_analysis::segmented::{self, SegmentConfig};
 use proptest::prelude::*;
 
 /// Non-degenerate finite sample.
@@ -197,6 +198,84 @@ proptest! {
                     "stretch [{}, {}): prefix {} vs naive {}", i, j, fast, slow
                 );
             }
+        }
+    }
+}
+
+/// The criterion `campaign` bench's segmentation fixture: three linear
+/// regimes over `n` evenly spaced points with deterministic hash noise.
+fn piecewise_fixture(n: usize) -> (Vec<f64>, Vec<f64>) {
+    let xs: Vec<f64> = (0..n).map(|i| i as f64).collect();
+    let ys: Vec<f64> = xs
+        .iter()
+        .map(|&x| {
+            let f = x / n as f64;
+            let base = if f < 0.3 {
+                2.0 * x
+            } else if f < 0.7 {
+                0.6 * n as f64 + 0.5 * x
+            } else {
+                0.25 * n as f64 + x
+            };
+            base + ((x * 12.9898).sin() * 43758.5453).fract() * 8.0
+        })
+        .collect();
+    (xs, ys)
+}
+
+#[test]
+fn segment_matches_the_refit_dp_oracle_on_the_bench_fixture() {
+    let config = SegmentConfig { max_breaks: 4, min_points_per_segment: 5, penalty: Some(500.0) };
+    let (xs, ys) = piecewise_fixture(800);
+    let (oracle, _) = segmented::reference::segment(&xs, &ys, &config);
+    let fast = segmented::segment(&xs, &ys, &config).unwrap();
+    assert!(!oracle.is_empty());
+    assert_eq!(fast.breakpoints, oracle);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn segment_reaches_the_refit_dp_optimum_on_tie_free_data(
+        gaps in prop::collection::vec(0.25..4.0f64, 12..48),
+        slopes in prop::collection::vec(-5.0..5.0f64, 3),
+        noise in prop::collection::vec(-3.0..3.0f64, 48),
+        max_breaks in 0usize..4,
+        min_points in 2usize..6,
+        penalty in 0.0..200.0f64,
+        derived_penalty in any::<bool>(),
+        reverse in any::<bool>(),
+    ) {
+        // Strictly increasing x (no ties), a three-regime response with
+        // bounded noise; the input order is optionally reversed since
+        // both searches sort by x themselves.
+        let mut x: Vec<f64> = gaps
+            .iter()
+            .scan(0.0, |acc, g| {
+                *acc += g;
+                Some(*acc)
+            })
+            .collect();
+        let third = x.len() / 3;
+        let mut y: Vec<f64> = x
+            .iter()
+            .enumerate()
+            .map(|(i, &v)| slopes[(i / third.max(1)).min(2)] * v + noise[i])
+            .collect();
+        if reverse {
+            x.reverse();
+            y.reverse();
+        }
+        let penalty = if derived_penalty { None } else { Some(penalty) };
+        let config = SegmentConfig { max_breaks, min_points_per_segment: min_points, penalty };
+        let (_, optimum) = segmented::reference::segment(&x, &y, &config);
+        match segmented::segment(&x, &y, &config) {
+            Ok(fast) => prop_assert!(
+                (fast.score - optimum).abs() <= 1e-9 * optimum.abs().max(1.0),
+                "segment() score {} vs reference optimum {}", fast.score, optimum
+            ),
+            Err(_) => prop_assert!(optimum.is_infinite()),
         }
     }
 }

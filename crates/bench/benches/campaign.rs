@@ -1,11 +1,11 @@
 //! Criterion benchmarks of the deterministic parallel campaign engine
 //! (the sequential `Campaign` builder vs its sharded form at 1/2/4/8
-//! shards) and of the segmentation search (pre-optimization O(j − i)
-//! refit DP vs the prefix-sum O(1)-SSE DP). `bench_campaign_summary`
-//! produces the machine-readable `BENCH_campaign.json` counterpart.
+//! shards) and of the segmentation search (the O(n³) refit-DP oracle
+//! `segmented::reference` vs the prefix-sum O(1)-SSE DP).
+//! `bench_campaign_summary` produces the machine-readable
+//! `BENCH_engine.json` counterpart.
 
-use charm_analysis::prefix::naive_stretch_sse;
-use charm_analysis::segmented::{segment, SegmentConfig};
+use charm_analysis::segmented::{reference, segment, SegmentConfig};
 use charm_design::doe::FullFactorial;
 use charm_design::plan::ExperimentPlan;
 use charm_design::{sampling, Factor};
@@ -16,7 +16,6 @@ use charm_simmem::paging::AllocPolicy;
 use charm_simmem::sched::SchedPolicy;
 use charm_simnet::presets;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use std::collections::HashMap;
 use std::hint::black_box;
 
 const SEED: u64 = 20170529;
@@ -148,76 +147,23 @@ fn piecewise_data(n: usize) -> (Vec<f64>, Vec<f64>) {
     (xs, ys)
 }
 
-/// The pre-optimization segmentation search, kept verbatim for
-/// comparison: the identical DP, but every candidate stretch pays an
-/// O(j − i) OLS refit (memoized across segment counts, as the old
-/// `stretch_sse` did). Expects x sorted ascending and an explicit
-/// penalty so old and new search the same space.
-fn refit_dp_breakpoints(x: &[f64], y: &[f64], config: &SegmentConfig) -> Vec<f64> {
-    let n = x.len();
-    let m = config.min_points_per_segment.max(2);
-    let penalty = config.penalty.expect("bench passes an explicit penalty");
-    let kmax = config.max_breaks + 1;
-    let inf = f64::INFINITY;
-    let mut memo: HashMap<(usize, usize), f64> = HashMap::new();
-    let mut sse_of =
-        |i: usize, j: usize| *memo.entry((i, j)).or_insert_with(|| naive_stretch_sse(x, y, i, j));
-    let mut cost = vec![vec![inf; kmax + 1]; n + 1];
-    let mut back = vec![vec![0usize; kmax + 1]; n + 1];
-    cost[0][0] = 0.0;
-    for k in 1..=kmax {
-        for j in (k * m)..=n {
-            for i in ((k - 1) * m)..=(j - m) {
-                if cost[i][k - 1] == inf {
-                    continue;
-                }
-                let c = cost[i][k - 1] + sse_of(i, j);
-                if c < cost[j][k] {
-                    cost[j][k] = c;
-                    back[j][k] = i;
-                }
-            }
-        }
-    }
-    let mut best_k = 1;
-    let mut best_score = inf;
-    for (k, row) in cost[n].iter().enumerate().take(kmax + 1).skip(1) {
-        let score = row + penalty * k as f64;
-        if score < best_score {
-            best_score = score;
-            best_k = k;
-        }
-    }
-    let mut splits = Vec::new();
-    let mut j = n;
-    for k in (1..=best_k).rev() {
-        let i = back[j][k];
-        if i > 0 {
-            splits.push(i);
-        }
-        j = i;
-    }
-    splits.sort_unstable();
-    splits.iter().map(|&i| (x[i - 1] + x[i]) / 2.0).collect()
-}
-
 fn segmentation(c: &mut Criterion) {
     let config = SegmentConfig { max_breaks: 4, min_points_per_segment: 5, penalty: Some(500.0) };
 
     // Old vs new at a size the refit DP can still finish in bench time.
     let (xs, ys) = piecewise_data(800);
-    let old_breaks = refit_dp_breakpoints(&xs, &ys, &config);
+    let (old_breaks, _) = reference::segment(&xs, &ys, &config);
     let new_breaks = segment(&xs, &ys, &config).unwrap().breakpoints;
     assert_eq!(old_breaks, new_breaks, "old and new DP must agree");
 
     let mut g = c.benchmark_group("segment_800");
     g.sample_size(10);
-    g.bench_function("refit_dp", |b| b.iter(|| black_box(refit_dp_breakpoints(&xs, &ys, &config))));
+    g.bench_function("refit_dp", |b| b.iter(|| black_box(reference::segment(&xs, &ys, &config))));
     g.bench_function("prefix_dp", |b| b.iter(|| black_box(segment(&xs, &ys, &config).unwrap())));
     g.finish();
 
-    // The new path at campaign scale (the old one would take minutes
-    // per iteration here; bench_campaign_summary times it once).
+    // The new path at campaign scale (the reference would take minutes
+    // per iteration here).
     let (bx, by) = piecewise_data(6000);
     let mut g = c.benchmark_group("segment_6000");
     g.sample_size(10);

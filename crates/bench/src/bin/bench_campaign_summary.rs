@@ -1,18 +1,15 @@
 //! One-shot wall-clock characterization of the engine and the analysis
-//! kernels, written as two schema-versioned reports that
-//! `bench_engine_gate` compares against their committed baselines:
-//!
-//! * `results/BENCH_engine.json` (`charm-bench-engine/1`) — stage
-//!   timings, throughput, shard utilization;
-//! * `results/BENCH_campaign.json` (`charm-bench-campaign/1`) — the
-//!   parallel-campaign summary: shard speedups, per-shard shared
-//!   profile-cache hit rates, work-stealing scheduler diagnostics. This
-//!   is the report the core-aware absolute checks
-//!   (`charm_trace::bench::absolute_failures`) read.
+//! kernels, written as one schema-versioned report,
+//! `BENCH_engine.json` (`charm-bench-engine/1`), that
+//! `bench_engine_gate` compares against the committed
+//! `results/BENCH_engine.json`: stage timings, throughput, shard
+//! speedups and utilization, the profile cache's hit rates (overall,
+//! shared across workers, and per worker), and the work-stealing
+//! scheduler's diagnostics. The core-aware absolute checks
+//! (`charm_trace::bench::absolute_failures`) read the same report.
 //!
 //! ```text
 //! bench_campaign_summary [rows] [segment_points] [--quick] [--shards N]
-//!                        [--refit-dp]
 //! ```
 //!
 //! Every timing is a **median-of-N** (N = 5): medians rather than
@@ -21,19 +18,18 @@
 //!
 //! * default: 6000 campaign rows and 6000 segmentation points, shard
 //!   counts 1/2/4/8;
-//! * `--quick`: small plans sized for CI; both reports are still
-//!   written;
+//! * `--quick`: small plans sized for CI; the report is still written;
 //! * `--shards N`: time only that shard count (CI uses `--shards 4` so
 //!   the numbers do not depend on the runner's core count — the
 //!   `cores` metric records the machine shape and the gate downgrades
-//!   core-bound metrics when it differs);
-//! * `--refit-dp`: also time the O(n³) refit-DP segmentation comparison
-//!   (minutes at full size; off by default).
+//!   core-bound metrics when it differs).
+//!
+//! The O(n³) refit-DP segmentation oracle (`segmented::reference`) is
+//! timed by the criterion `campaign` bench, not here.
 
 use charm_analysis::bootstrap::mean_ci;
 use charm_analysis::changepoint::binary_segmentation;
 use charm_analysis::loess::{loess, LoessConfig};
-use charm_analysis::prefix::naive_stretch_sse;
 use charm_analysis::segmented::{segment, SegmentConfig};
 use charm_design::doe::FullFactorial;
 use charm_design::plan::ExperimentPlan;
@@ -46,8 +42,7 @@ use charm_simmem::machine::{CpuSpec, MachineSim};
 use charm_simmem::paging::AllocPolicy;
 use charm_simmem::sched::SchedPolicy;
 use charm_simnet::presets;
-use charm_trace::bench::{EngineBench, CAMPAIGN_SCHEMA};
-use std::collections::HashMap;
+use charm_trace::bench::EngineBench;
 use std::time::Instant;
 
 fn network_plan(rows_target: usize, seed: u64) -> ExperimentPlan {
@@ -97,55 +92,6 @@ fn piecewise_data(n: usize) -> (Vec<f64>, Vec<f64>) {
         })
         .collect();
     (xs, ys)
-}
-
-/// The pre-optimization DP (O(j − i) refit per candidate, memoized).
-fn refit_dp(x: &[f64], y: &[f64], config: &SegmentConfig) -> Vec<f64> {
-    let n = x.len();
-    let m = config.min_points_per_segment.max(2);
-    let penalty = config.penalty.expect("explicit penalty");
-    let kmax = config.max_breaks + 1;
-    let inf = f64::INFINITY;
-    let mut memo: HashMap<(usize, usize), f64> = HashMap::new();
-    let mut sse_of =
-        |i: usize, j: usize| *memo.entry((i, j)).or_insert_with(|| naive_stretch_sse(x, y, i, j));
-    let mut cost = vec![vec![inf; kmax + 1]; n + 1];
-    let mut back = vec![vec![0usize; kmax + 1]; n + 1];
-    cost[0][0] = 0.0;
-    for k in 1..=kmax {
-        for j in (k * m)..=n {
-            for i in ((k - 1) * m)..=(j - m) {
-                if cost[i][k - 1] == inf {
-                    continue;
-                }
-                let c = cost[i][k - 1] + sse_of(i, j);
-                if c < cost[j][k] {
-                    cost[j][k] = c;
-                    back[j][k] = i;
-                }
-            }
-        }
-    }
-    let mut best_k = 1;
-    let mut best_score = inf;
-    for (k, row) in cost[n].iter().enumerate().take(kmax + 1).skip(1) {
-        let score = row + penalty * k as f64;
-        if score < best_score {
-            best_score = score;
-            best_k = k;
-        }
-    }
-    let mut splits = Vec::new();
-    let mut j = n;
-    for k in (1..=best_k).rev() {
-        let i = back[j][k];
-        if i > 0 {
-            splits.push(i);
-        }
-        j = i;
-    }
-    splits.sort_unstable();
-    splits.iter().map(|&i| (x[i - 1] + x[i]) / 2.0).collect()
 }
 
 /// A Figure-6-shaped memory campaign: buffer sizes crossing every cache
@@ -390,10 +336,26 @@ fn main() {
         .config("shards", &shards_config)
         .metric("cores", cores)
         .metric("simmem.profile_cache.hit_rate", mem_hit_rate)
+        .metric("simmem.profile_cache.shared_hit_rate", shared_hit_rate)
+        .metric("engine.scheduler.batches", diagnostics.get("engine.scheduler.batches") as f64)
+        .metric("engine.scheduler.steals", diagnostics.get("engine.scheduler.steals") as f64)
         .metric("analysis.segment_s", segment_s)
         .metric("analysis.changepoint_s", changepoint_s)
         .metric("analysis.bootstrap_s", bootstrap_s)
         .metric("analysis.loess_s", loess_s);
+    // Per-worker view of the shared cache: `shard{w}.…hit_rate_permille`
+    // from the diagnostics channel becomes `…shard{w}_hit_rate` here.
+    for (key, value) in diagnostics.iter() {
+        if let Some(worker) = key
+            .strip_suffix(".simmem.profile_cache.hit_rate_permille")
+            .and_then(|prefix| prefix.strip_prefix("shard"))
+        {
+            bench = bench.metric(
+                &format!("simmem.profile_cache.shard{worker}_hit_rate"),
+                value as f64 / 1000.0,
+            );
+        }
+    }
     bench = engine_metrics(
         bench,
         "engine.net",
@@ -413,69 +375,5 @@ fn main() {
         &mem_util,
     );
     charm_bench::write_artifact("BENCH_engine.json", &bench.to_json());
-
-    // --- the campaign-level summary the absolute gate checks read ---
-    let mut campaign = EngineBench::new()
-        .with_schema(CAMPAIGN_SCHEMA)
-        .config("quick", quick)
-        .config("rows", rows)
-        .config("points", points)
-        .config("repeats", repeats)
-        .config("shards", &shards_config)
-        .config("refit_dp", args.refit_dp)
-        .metric("cores", cores)
-        .metric("simmem.profile_cache.hit_rate", mem_hit_rate)
-        .metric("simmem.profile_cache.shared_hit_rate", shared_hit_rate)
-        .metric("engine.scheduler.batches", diagnostics.get("engine.scheduler.batches") as f64)
-        .metric("engine.scheduler.steals", diagnostics.get("engine.scheduler.steals") as f64);
-    // Per-worker view of the shared cache: `shard{w}.…hit_rate_permille`
-    // from the diagnostics channel becomes `…shard{w}_hit_rate` here.
-    for (key, value) in diagnostics.iter() {
-        if let Some(worker) = key
-            .strip_suffix(".simmem.profile_cache.hit_rate_permille")
-            .and_then(|prefix| prefix.strip_prefix("shard"))
-        {
-            campaign = campaign.metric(
-                &format!("simmem.profile_cache.shard{worker}_hit_rate"),
-                value as f64 / 1000.0,
-            );
-        }
-    }
-    campaign = engine_metrics(
-        campaign,
-        "engine.net",
-        net_plan.len(),
-        net_seq_s,
-        &shard_counts,
-        &net_par_s,
-        &net_util,
-    );
-    campaign = engine_metrics(
-        campaign,
-        "engine.mem",
-        mem_plan.len(),
-        mem_seq_s,
-        &shard_counts,
-        &mem_par_s,
-        &mem_util,
-    );
-
-    if args.refit_dp {
-        // The O(n³) refit DP is timed once — at 6000 points it needs
-        // minutes, which is exactly the point of the comparison.
-        let t = Instant::now();
-        let old_breaks = refit_dp(&xs, &ys, &config);
-        let refit_s = t.elapsed().as_secs_f64();
-        println!(
-            "  refit DP (1 run)    {:>8.1} ms  ({:.1}x slower)",
-            refit_s * 1e3,
-            refit_s / segment_s
-        );
-        assert_eq!(old_breaks, segment(&xs, &ys, &config).unwrap().breakpoints);
-        campaign = campaign
-            .metric("analysis.refit_dp_s", refit_s)
-            .metric("analysis.refit_speedup", refit_s / segment_s);
-    }
-    charm_bench::write_artifact("BENCH_campaign.json", &campaign.to_json());
     session.finish();
 }

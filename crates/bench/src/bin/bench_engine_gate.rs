@@ -1,8 +1,7 @@
-//! Perf-regression gate: compares a freshly generated report
-//! (`BENCH_engine.json` or `BENCH_campaign.json` — both schemas are
-//! understood, but candidate and baseline must carry the same one)
-//! against the committed baseline and fails CI when a gated metric is
-//! more than the threshold worse.
+//! Perf-regression gate: compares a freshly generated
+//! `BENCH_engine.json` (schema `charm-bench-engine/1`, the only one it
+//! reads) against the committed baseline and fails CI when a gated
+//! metric is more than the threshold worse.
 //!
 //! ```text
 //! bench_engine_gate <candidate.json> <baseline.json>

@@ -19,9 +19,11 @@
 //! `runner.*` frame/restart/timeout counters land in the `--obs-jsonl`
 //! report.
 //!
-//! **DSL mode** is unchanged: network plans need factors `op` and
-//! `size`; memory plans need `size_bytes` (plus optional `stride`,
-//! `width`, `unroll`, `nloops`).
+//! **DSL mode**: the platform name resolves through the registry's
+//! platform table (`charm_engine::registry::platform`, every policy at
+//! its default) and runs exactly like a spec-mode target. Network plans
+//! need factors `op` and `size`; memory plans need `size_bytes` (plus
+//! optional `stride`, `width`, `unroll`, `nloops`).
 //!
 //! Exit codes: `2` — bad spec/usage (TOML or DSL parse error, unknown
 //! target or platform name, contradictory flags); `3` — target or
@@ -57,66 +59,13 @@ use charm_bench::specload;
 use charm_core::pipeline::Study;
 use charm_design::dsl;
 use charm_design::plan::ExperimentPlan;
-use charm_engine::registry::{self, ResolvedTarget};
-use charm_engine::target::{MemoryTarget, NetworkTarget, Target};
-use charm_engine::{Campaign, CampaignRun, ParallelTarget, TargetError};
+use charm_engine::registry::{self, ExternalEngineSpec, ResolvedTarget};
+use charm_engine::{Campaign, CampaignRun, ParallelTarget};
 use charm_obs::Observer;
 use charm_runner::ExternalTarget;
-use charm_simmem::dvfs::GovernorPolicy;
-use charm_simmem::machine::{CpuSpec, MachineSim};
-use charm_simmem::paging::AllocPolicy;
-use charm_simmem::sched::SchedPolicy;
-use charm_simnet::presets;
 use std::process::ExitCode;
 
 const USAGE_POSITIONAL: &str = "<plan.dsl> <platform>";
-
-fn machine(spec: CpuSpec, seed: u64) -> MachineSim {
-    MachineSim::new(
-        spec,
-        GovernorPolicy::Performance,
-        SchedPolicy::PinnedDefault,
-        AllocPolicy::PooledRandomOffset,
-        seed,
-    )
-}
-
-/// Concrete target dispatch: the sharded builder forks the target, which
-/// needs the concrete type (`ParallelTarget` is not object-safe).
-enum Platform {
-    Net(Box<NetworkTarget>),
-    Mem(Box<MemoryTarget>),
-}
-
-fn net(name: &'static str, sim: charm_simnet::NetworkSim) -> Platform {
-    Platform::Net(Box::new(NetworkTarget::new(name, sim)))
-}
-
-fn mem(name: &str, spec: CpuSpec, seed: u64) -> Platform {
-    Platform::Mem(Box::new(MemoryTarget::new(name, machine(spec, seed))))
-}
-
-#[allow(clippy::too_many_arguments)]
-fn execute<T: ParallelTarget>(
-    plan: &ExperimentPlan,
-    target: T,
-    shards: usize,
-    shuffle_seed: Option<u64>,
-    min_rows_per_shard: Option<usize>,
-    observe: bool,
-    sink: Option<&charm_store::CheckpointSession>,
-    resume: bool,
-) -> Result<CampaignRun, TargetError> {
-    let mut sharded = Campaign::new(plan, target).shards(shards).seed(shuffle_seed);
-    if let Some(min_rows) = min_rows_per_shard {
-        sharded = sharded.min_rows_per_shard(min_rows);
-    }
-    if let Some(sink) = sink {
-        sharded = sharded.store(sink).resume(resume);
-    }
-    let sharded = if observe { sharded.observer(Observer::default()) } else { sharded };
-    sharded.run()
-}
 
 /// Writes the artifacts and archives the run under its campaign key;
 /// shared by every mode.
@@ -161,55 +110,71 @@ fn run_benchmark(args: &CommonArgs, path: &str) -> ExitCode {
     };
     let plan = resolved.plan;
     println!("benchmark {}: {} rows, factors {:?}", resolved.name, plan.len(), plan.factor_names());
+    run_resolved(args, session, &plan, resolved.order_seed, target)
+}
 
+/// Runs `plan` against a resolved target — the one dispatch spec mode
+/// and DSL mode share: in-process targets take the sharded path,
+/// external engines the sequential one.
+fn run_resolved(
+    args: &CommonArgs,
+    session: charm_bench::profile::Session,
+    plan: &ExperimentPlan,
+    shuffle_seed: Option<u64>,
+    target: ResolvedTarget,
+) -> ExitCode {
     match target {
-        ResolvedTarget::External(spec) => {
-            if args.shards.is_some_and(|n| n > 1) {
-                eprintln!(
-                    "external engines are sequential-only (a subprocess cannot be forked); \
-                     drop --shards"
-                );
-                return ExitCode::from(specload::EXIT_BAD_SPEC);
-            }
-            if args.resume.is_some() {
-                eprintln!("--resume does not apply to external engines (no shard checkpoints)");
-                return ExitCode::from(specload::EXIT_BAD_SPEC);
-            }
-            let label = spec.label.clone();
-            let engine = match ExternalTarget::spawn(spec) {
-                Ok(t) => t,
-                Err(e) => {
-                    eprintln!("cannot start engine: {e}");
-                    return specload::exit_for(&e);
-                }
-            };
-            let target_id = charm_store::target_identity(&engine);
-            let store = match open_store(args) {
-                Ok(s) => s,
-                Err(code) => return code,
-            };
-            let mut campaign = Campaign::new(&plan, engine).seed(resolved.order_seed);
-            if args.obs_jsonl {
-                campaign = campaign.observer(Observer::default());
-            }
-            match campaign.run() {
-                Ok(run) => {
-                    let archive = store.map(|store| {
-                        (store, charm_store::CampaignKey::of(&plan, &target_id, Some(args.seed), 1))
-                    });
-                    finish_run(session, &label, archive.as_ref().map(|(s, k)| (s, k)), &run)
-                }
-                Err(e) => {
-                    eprintln!("campaign failed: {e}");
-                    specload::exit_for(&e)
-                }
-            }
+        ResolvedTarget::Network(t) => run_sharded_mode(args, session, plan, shuffle_seed, *t),
+        ResolvedTarget::Memory(t) => run_sharded_mode(args, session, plan, shuffle_seed, *t),
+        ResolvedTarget::External(spec) => run_external(args, session, plan, shuffle_seed, spec),
+    }
+}
+
+/// The sequential path of an external engine subprocess.
+fn run_external(
+    args: &CommonArgs,
+    session: charm_bench::profile::Session,
+    plan: &ExperimentPlan,
+    shuffle_seed: Option<u64>,
+    spec: ExternalEngineSpec,
+) -> ExitCode {
+    if args.shards.is_some_and(|n| n > 1) {
+        eprintln!(
+            "external engines are sequential-only (a subprocess cannot be forked); drop --shards"
+        );
+        return ExitCode::from(specload::EXIT_BAD_SPEC);
+    }
+    if args.resume.is_some() {
+        eprintln!("--resume does not apply to external engines (no shard checkpoints)");
+        return ExitCode::from(specload::EXIT_BAD_SPEC);
+    }
+    let label = spec.label.clone();
+    let engine = match ExternalTarget::spawn(spec) {
+        Ok(t) => t,
+        Err(e) => {
+            eprintln!("cannot start engine: {e}");
+            return specload::exit_for(&e);
         }
-        ResolvedTarget::Network(t) => {
-            run_sharded_mode(args, session, &t.name(), &plan, resolved.order_seed, Platform::Net(t))
+    };
+    let target_id = charm_store::target_identity(&engine);
+    let store = match open_store(args) {
+        Ok(s) => s,
+        Err(code) => return code,
+    };
+    let mut campaign = Campaign::new(plan, engine).seed(shuffle_seed);
+    if args.obs_jsonl {
+        campaign = campaign.observer(Observer::default());
+    }
+    match campaign.run() {
+        Ok(run) => {
+            let archive = store.map(|store| {
+                (store, charm_store::CampaignKey::of(plan, &target_id, Some(args.seed), 1))
+            });
+            finish_run(session, &label, archive.as_ref().map(|(s, k)| (s, k)), &run)
         }
-        ResolvedTarget::Memory(t) => {
-            run_sharded_mode(args, session, &t.name(), &plan, resolved.order_seed, Platform::Mem(t))
+        Err(e) => {
+            eprintln!("campaign failed: {e}");
+            specload::exit_for(&e)
         }
     }
 }
@@ -224,32 +189,28 @@ fn open_store(args: &CommonArgs) -> Result<Option<charm_store::Store>, ExitCode>
     }
 }
 
-/// The sharded in-process path, shared by spec mode and DSL mode.
-fn run_sharded_mode(
+/// The sharded path of an in-process target.
+fn run_sharded_mode<T: ParallelTarget>(
     args: &CommonArgs,
     session: charm_bench::profile::Session,
-    label: &str,
     plan: &ExperimentPlan,
     shuffle_seed: Option<u64>,
-    platform: Platform,
+    target: T,
 ) -> ExitCode {
     let shards = args.shards.unwrap_or_else(|| Study::auto_shards(plan.len()));
-
-    // The target's identity folds into the run ID, so the same plan
-    // against two platforms can never share a run directory.
-    let target_id = match &platform {
-        Platform::Net(t) => charm_store::target_identity(t.as_ref()),
-        Platform::Mem(t) => charm_store::target_identity(t.as_ref()),
-    };
+    let label = target.name();
 
     // Open the campaign store (and its checkpoint session for this
     // run's identity) before executing, so shards flush as they finish.
+    // The target's identity folds into the run ID, so the same plan
+    // against two platforms can never share a run directory.
     let store_ctx = match &args.store {
         Some(_) => {
             let store = match open_store(args) {
                 Ok(s) => s.expect("store flag present"),
                 Err(code) => return code,
             };
+            let target_id = charm_store::target_identity(&target);
             let key =
                 charm_store::CampaignKey::of(plan, &target_id, Some(args.seed), shards as u64);
             let checkpoint = match store.open_session(key, plan.factor_names()) {
@@ -280,22 +241,21 @@ fn run_sharded_mode(
             None
         }
     };
-    let sink = store_ctx.as_ref().map(|(_, checkpoint)| checkpoint);
-    let resume = args.resume.is_some();
 
-    let min_rows = args.min_rows_per_shard;
-    let result = match platform {
-        Platform::Net(t) => {
-            execute(plan, *t, shards, shuffle_seed, min_rows, args.obs_jsonl, sink, resume)
-        }
-        Platform::Mem(t) => {
-            execute(plan, *t, shards, shuffle_seed, min_rows, args.obs_jsonl, sink, resume)
-        }
-    };
-    match result {
+    let mut campaign = Campaign::new(plan, target).shards(shards).seed(shuffle_seed);
+    if let Some(min_rows) = args.min_rows_per_shard {
+        campaign = campaign.min_rows_per_shard(min_rows);
+    }
+    if let Some((_, checkpoint)) = &store_ctx {
+        campaign = campaign.store(checkpoint).resume(args.resume.is_some());
+    }
+    if args.obs_jsonl {
+        campaign = campaign.observer(Observer::default());
+    }
+    match campaign.run() {
         Ok(run) => {
             let archive = store_ctx.as_ref().map(|(store, checkpoint)| (store, checkpoint.key()));
-            finish_run(session, label, archive, &run)
+            finish_run(session, &label, archive, &run)
         }
         Err(e) => {
             eprintln!("campaign failed: {e}");
@@ -304,7 +264,7 @@ fn run_sharded_mode(
     }
 }
 
-/// Legacy DSL mode: `<plan.dsl> <platform>`.
+/// DSL mode: `<plan.dsl> <platform>`.
 fn run_dsl(args: &CommonArgs) -> ExitCode {
     let session = charm_bench::profile::Session::from_args(args);
     if args.rest.len() != 2 {
@@ -312,10 +272,13 @@ fn run_dsl(args: &CommonArgs) -> ExitCode {
             "usage: run_campaign <plan.dsl> <platform> [--seed N] [--shards N] [--out DIR] \
              [--obs-jsonl]\n       run_campaign --benchmark SPEC.toml [--param NAME=VALUE]..."
         );
-        eprintln!("platforms: taurus myrinet openmpi opteron pentium4 i7 arm");
+        eprintln!(
+            "platforms: {} {}",
+            registry::network_presets().join(" "),
+            registry::memory_cpus().join(" ")
+        );
         return ExitCode::from(specload::EXIT_BAD_SPEC);
     }
-    let seed = args.seed;
 
     let text = match std::fs::read_to_string(&args.rest[0]) {
         Ok(t) => t,
@@ -338,23 +301,18 @@ fn run_dsl(args: &CommonArgs) -> ExitCode {
         args.shards.unwrap_or_else(|| Study::auto_shards(plan.len()))
     );
 
-    let platform_name = args.rest[1].as_str();
-    let platform = match platform_name {
-        "taurus" => net("taurus", presets::taurus_openmpi_tcp(seed)),
-        "myrinet" => net("myrinet", presets::myrinet_gm(seed)),
-        "openmpi" => net("openmpi", presets::openmpi_fig3(seed)),
-        "opteron" => mem("opteron", CpuSpec::opteron(), seed),
-        "pentium4" => mem("pentium4", CpuSpec::pentium4(), seed),
-        "i7" => mem("i7", CpuSpec::core_i7_2600(), seed),
-        "arm" => mem("arm", CpuSpec::arm_snowball(), seed),
-        other => {
-            eprintln!("unknown platform {other:?}");
-            return ExitCode::from(specload::EXIT_BAD_SPEC);
+    let target = match registry::platform(&args.rest[1])
+        .and_then(|spec| registry::resolve(&spec, args.seed))
+    {
+        Ok(t) => t,
+        Err(e) => {
+            eprintln!("{e}");
+            return specload::exit_for(&e);
         }
     };
     // The DSL applies its own ordering at compile time and the legacy
     // artifacts never recorded a shuffle seed; keep that shape.
-    run_sharded_mode(args, session, platform_name, &plan, None, platform)
+    run_resolved(args, session, &plan, None, target)
 }
 
 fn main() -> ExitCode {

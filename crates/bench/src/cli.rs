@@ -16,8 +16,6 @@
 //! * `--obs-jsonl` — also write observability reports (counters +
 //!   provenance events, JSON Lines) next to the CSV artifacts;
 //! * `--quick` — reduced plan sizes for smoke runs (CI uses this);
-//! * `--refit-dp` — also time the O(n³) refit-DP segmentation
-//!   comparison (minutes at full size; `bench_campaign_summary` only);
 //! * `--profile` — print a wall-clock self-profile of the engine and
 //!   analysis passes when the run finishes;
 //! * `--trace-out PATH` — write a Chrome/Perfetto `trace.json` rendering
@@ -50,8 +48,6 @@ pub struct CommonArgs {
     pub obs_jsonl: bool,
     /// Whether to shrink plans for a smoke run (`--quick`).
     pub quick: bool,
-    /// Whether to time the O(n³) refit-DP comparison (`--refit-dp`).
-    pub refit_dp: bool,
     /// Whether to print the wall-clock self-profile (`--profile`).
     pub profile: bool,
     /// Where to write the dual-clock Chrome/Perfetto trace
@@ -110,7 +106,6 @@ impl CommonArgs {
             min_rows_per_shard: None,
             obs_jsonl: false,
             quick: false,
-            refit_dp: false,
             profile: false,
             trace_out: None,
             store: None,
@@ -149,7 +144,6 @@ impl CommonArgs {
                 },
                 "--obs-jsonl" => args.obs_jsonl = true,
                 "--quick" => args.quick = true,
-                "--refit-dp" => args.refit_dp = true,
                 "--profile" => args.profile = true,
                 "--trace-out" => match argv.next() {
                     Some(path) => args.trace_out = Some(path),
@@ -236,7 +230,6 @@ fn usage(bin: &str, extra: &str) -> String {
          --out DIR       results directory (sets CHARM_RESULTS_DIR)\n\
          --obs-jsonl     also write observability reports as JSON Lines\n\
          --quick         reduced plans for smoke runs\n\
-         --refit-dp      also time the O(n^3) refit-DP comparison (slow)\n\
          --profile       print a wall-clock self-profile on exit\n\
          --trace-out PATH  write a dual-clock Chrome/Perfetto trace.json\n\
          --store DIR     archive the campaign (with shard checkpoints) into a store\n\
@@ -265,7 +258,6 @@ mod tests {
                 min_rows_per_shard: None,
                 obs_jsonl: false,
                 quick: false,
-                refit_dp: false,
                 profile: false,
                 trace_out: None,
                 store: None,
@@ -293,7 +285,6 @@ mod tests {
                 "/tmp/r",
                 "--obs-jsonl",
                 "--quick",
-                "--refit-dp",
                 "--profile",
                 "--trace-out",
                 "/tmp/trace.json",
@@ -317,7 +308,6 @@ mod tests {
         assert_eq!(args.min_rows_per_shard, Some(1));
         assert!(args.obs_jsonl);
         assert!(args.quick);
-        assert!(args.refit_dp);
         assert!(args.profile);
         assert_eq!(args.trace_out.as_deref(), Some("/tmp/trace.json"));
         assert_eq!(args.store.as_deref(), Some("/tmp/store"));
@@ -365,7 +355,6 @@ mod tests {
             "--out",
             "--obs-jsonl",
             "--quick",
-            "--refit-dp",
             "--profile",
             "--trace-out",
             "--store",

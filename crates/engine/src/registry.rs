@@ -21,9 +21,9 @@
 //!   The registry validates the description and hands back an
 //!   [`ExternalEngineSpec`]; the `charm_runner` crate (which depends on
 //!   this one) spawns it. External engines run sequentially — a
-//!   subprocess has no [`crate::ParallelTarget::fork`] — which the
-//!   engine surfaces as a [`SequentialOnly`] capability rather than a
-//!   silent downgrade.
+//!   subprocess has no [`crate::ParallelTarget::fork`] — so asking for
+//!   more than one shard against one is a spec error, not a silent
+//!   downgrade.
 //!
 //! Unknown names fail with [`TargetError::UnknownTarget`] carrying the
 //! accepted spellings, so a typo in a spec file reads as a spec bug,
@@ -118,35 +118,12 @@ pub enum ResolvedTarget {
     External(ExternalEngineSpec),
 }
 
-/// Execution capability of a resolved target: whether the sharded
-/// campaign path is available at all. Subprocess engines cannot be
-/// forked mid-protocol, so they are [`SequentialOnly::Yes`]; asking for
-/// `--shards > 1` against one is a spec error, not a silent downgrade.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SequentialOnly {
-    /// The target can only run the sequential campaign path.
-    Yes,
-    /// The target implements [`crate::ParallelTarget`].
-    No,
-}
-
 impl std::fmt::Debug for ResolvedTarget {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ResolvedTarget::Network(t) => write!(f, "Network({:?})", t.name()),
             ResolvedTarget::Memory(t) => write!(f, "Memory({:?})", t.name()),
             ResolvedTarget::External(e) => f.debug_tuple("External").field(e).finish(),
-        }
-    }
-}
-
-impl ResolvedTarget {
-    /// Whether this target is restricted to the sequential campaign
-    /// path.
-    pub fn sequential_only(&self) -> SequentialOnly {
-        match self {
-            ResolvedTarget::External(_) => SequentialOnly::Yes,
-            _ => SequentialOnly::No,
         }
     }
 }
@@ -159,6 +136,28 @@ pub fn network_presets() -> &'static [&'static str] {
 /// The CPU spec names the registry resolves.
 pub fn memory_cpus() -> &'static [&'static str] {
     &["opteron", "pentium4", "i7", "arm"]
+}
+
+/// Maps a DSL platform name — any network preset or CPU spec name — to
+/// its registry spec with every default: the preset's own label, or the
+/// `performance` / `pinned_default` / `pooled_random_offset` policies.
+/// This is the one name → [`TargetSpec`] table: `run_campaign`'s DSL
+/// mode and `charm-serve`'s DSL submissions both resolve through it, so
+/// the same platform name always derives the same target identity.
+pub fn platform(name: &str) -> Result<TargetSpec, TargetError> {
+    if network_presets().contains(&name) {
+        Ok(TargetSpec::Network { preset: name.to_string(), label: None })
+    } else if memory_cpus().contains(&name) {
+        Ok(TargetSpec::Memory {
+            cpu: name.to_string(),
+            governor: None,
+            sched: None,
+            alloc: None,
+            label: None,
+        })
+    } else {
+        Err(unknown("platform", name, &[network_presets(), memory_cpus()].concat()))
+    }
 }
 
 fn unknown(field: &'static str, got: &str, accepted: &[&str]) -> TargetError {
@@ -322,26 +321,29 @@ mod tests {
             resolve(&bad, 1).unwrap_err(),
             TargetError::UnknownTarget { field: "governor", .. }
         ));
+        match platform("plan9").unwrap_err() {
+            TargetError::UnknownTarget { field, got, expected } => {
+                assert_eq!((field, got.as_str()), ("platform", "plan9"));
+                assert!(expected.contains("taurus") && expected.contains("arm"), "{expected}");
+            }
+            other => panic!("expected UnknownTarget, got {other}"),
+        }
     }
 
     #[test]
-    fn external_is_sequential_only_and_normalized() {
+    fn external_is_normalized() {
         let spec = TargetSpec::External {
             program: "target/release/klv_engine_demo".into(),
             args: vec!["--seed".into(), "7".into()],
             timeout_ms: None,
             label: None,
         };
-        let resolved = resolve(&spec, 7).unwrap();
-        assert_eq!(resolved.sequential_only(), SequentialOnly::Yes);
-        match resolved {
+        match resolve(&spec, 7).unwrap() {
             ResolvedTarget::External(e) => {
                 assert_eq!(e.label, "klv_engine_demo");
                 assert_eq!(e.timeout_ms, DEFAULT_EXTERNAL_TIMEOUT_MS);
             }
             other => panic!("expected external, got {other:?}"),
         }
-        let inproc = TargetSpec::Network { preset: "taurus".into(), label: None };
-        assert_eq!(resolve(&inproc, 1).unwrap().sequential_only(), SequentialOnly::No);
     }
 }

@@ -20,7 +20,7 @@
 //!
 //! The subprocess boundary means an `ExternalTarget` is *sequential
 //! only* — it is a [`Target`] but deliberately not a
-//! `ParallelTarget`, matching `SequentialOnly::Yes` from the registry.
+//! `ParallelTarget`.
 
 use std::collections::BTreeMap;
 use std::io::{BufReader, Read, Write};

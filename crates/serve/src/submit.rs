@@ -2,13 +2,13 @@
 //! everything the scheduler and the engine need.
 //!
 //! This is deliberately the same resolution path the `run_campaign` CLI
-//! takes — DSL plans map to the registry's network/memory specs with
-//! default policies and labels, spec plans resolve through
-//! `charm_core::spec` — so a campaign submitted to the service derives
-//! the *same* content-addressed run ID, the same metadata, and the same
-//! record bytes as one run directly. That equivalence is what makes
-//! archive-backed dedupe honest: a dedupe hit serves exactly the bytes
-//! an engine run would have produced.
+//! takes — DSL platform names resolve through the registry's one
+//! platform table (`charm_engine::registry::platform`), spec plans
+//! through `charm_core::spec` — so a campaign submitted to the service
+//! derives the *same* content-addressed run ID, the same metadata, and
+//! the same record bytes as one run directly. That equivalence is what
+//! makes archive-backed dedupe honest: a dedupe hit serves exactly the
+//! bytes an engine run would have produced.
 
 use crate::protocol::{PlanKind, RejectReason};
 use charm_core::spec::BenchmarkSpec;
@@ -41,29 +41,6 @@ fn bad_plan(detail: impl Into<String>) -> (RejectReason, String) {
     (RejectReason::BadPlan, detail.into())
 }
 
-/// Maps a DSL-mode platform name to its registry spec with every
-/// default — the same table `run_campaign`'s DSL mode hardcodes, routed
-/// through the registry so both paths construct identical targets.
-fn platform_spec(platform: &str) -> Result<TargetSpec, (RejectReason, String)> {
-    if registry::network_presets().contains(&platform) {
-        Ok(TargetSpec::Network { preset: platform.to_string(), label: None })
-    } else if registry::memory_cpus().contains(&platform) {
-        Ok(TargetSpec::Memory {
-            cpu: platform.to_string(),
-            governor: None,
-            sched: None,
-            alloc: None,
-            label: None,
-        })
-    } else {
-        Err(bad_plan(format!(
-            "unknown platform {platform:?} (expected {} | {})",
-            registry::network_presets().join(" | "),
-            registry::memory_cpus().join(" | ")
-        )))
-    }
-}
-
 /// Compiles a submission. `seed` is the stream seed the campaign will
 /// run with (it parameterizes spec resolution and the target identity).
 pub(crate) fn prepare(
@@ -75,7 +52,7 @@ pub(crate) fn prepare(
     let (plan, target, label, shuffle_seed) = match kind {
         PlanKind::Dsl => {
             let plan = dsl::compile(plan_text).map_err(|e| bad_plan(format!("DSL error: {e}")))?;
-            let target = platform_spec(platform)?;
+            let target = registry::platform(platform).map_err(|e| bad_plan(e.to_string()))?;
             (plan, target, platform.to_string(), None)
         }
         PlanKind::Spec => {
@@ -140,8 +117,7 @@ mod tests {
     #[test]
     fn target_identity_is_seed_stable_for_derivation() {
         // Same seed → same identity (admission and execution agree);
-        // the identity folds the stream seed's configuration in exactly
-        // as run_campaign's direct construction does.
+        // run_campaign resolves the same platform table at the same seed.
         let a = prepare(PlanKind::Dsl, DSL, "myrinet", 11).unwrap();
         let b = prepare(PlanKind::Dsl, DSL, "myrinet", 11).unwrap();
         assert_eq!(a.target_id, b.target_id);
