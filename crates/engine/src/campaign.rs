@@ -1,11 +1,6 @@
 //! The [`Campaign`] builder: the single front door for campaign
 //! execution — sequential or sharded, observed or not, profiled or not.
 //!
-//! The engine's original free-function front ends (`run_campaign`,
-//! `run_campaign_parallel`, both removed) grew incompatible call shapes
-//! (`&mut T` vs `&T`, trailing seed/shard positionals) as the engine
-//! gained capabilities. The builder unifies them:
-//!
 //! ```text
 //! Campaign::new(&plan, target).seed(9).run()?                    // sequential
 //! Campaign::new(&plan, target).shards(4).seed(9).run()?          // sharded
@@ -29,6 +24,18 @@
 //! work, record merge. The same bit-identity rule applies — the profiler
 //! only reads the host monotonic clock, never virtual clocks or RNG
 //! streams — and a disabled profiler costs one branch per span site.
+//!
+//! **One executor.** `run_batch` is the one row loop that calls
+//! [`Target::measure`] and builds every [`RawRecord`]; `assemble` is the
+//! one merge that builds the metadata and the report. [`Campaign::run`]
+//! is the one-batch case: rows `0..n` measured in place on the caller's
+//! target, on the calling thread, so `&mut` borrows, targets that cannot
+//! fork and time-dependent targets all run, and its metadata carries no
+//! scheduler geometry. [`ShardedCampaign::run`] measures batches on
+//! fresh forks in a [`std::thread::scope`] pool and records the geometry.
+//! Cancellation is checked before every row in the one-batch case, and
+//! at batch-claim boundaries in the pool, where in-flight batches finish
+//! so every checkpoint segment is whole.
 
 use crate::cancel::CancelToken;
 use crate::checkpoint::{CheckpointSink, ShardCheckpoint};
@@ -225,8 +232,7 @@ fn add_hit_rates(diag: &mut Counters) {
 /// observability report when an [`Observer`] was attached.
 #[derive(Debug, Clone)]
 pub struct CampaignRun {
-    /// The retained-everything campaign (records + metadata), exactly as
-    /// the deprecated free functions returned it.
+    /// The retained-everything campaign (records + metadata).
     pub data: CampaignData,
     /// Counters, provenance events and spans — `Some` iff an observer
     /// was attached with [`Campaign::observer`].
@@ -305,7 +311,8 @@ impl<'p, T: Target> Campaign<'p, T> {
     }
 
     /// Executes every row of the plan (in the plan's order) against the
-    /// target.
+    /// target: the executor's one-batch case, measured in place on the
+    /// calling thread.
     ///
     /// Fails fast on the first target error: a mis-specified plan is a
     /// setup bug, and partial campaigns silently passed to analysis are
@@ -313,57 +320,15 @@ impl<'p, T: Target> Campaign<'p, T> {
     pub fn run(mut self) -> Result<CampaignRun, TargetError> {
         let _run_span = self.profiler.span_on("engine", "engine.run");
         let wall_start = Instant::now();
-        if let Some(observer) = &self.observer {
-            self.target.observe(observer);
-        }
-        let mut records = Vec::with_capacity(self.plan.len());
-        {
-            let _execute_span =
-                self.profiler.span_on("engine", "engine.execute").arg("rows", self.plan.len());
+        let n = self.plan.len();
+        let batch = {
+            let _execute_span = self.profiler.span_on("engine", "engine.execute").arg("rows", n);
             let interned = intern_rows(self.plan);
-            for (sequence, row) in self.plan.rows().iter().enumerate() {
-                if self.cancel.is_cancelled() {
-                    return Err(TargetError::Cancelled);
-                }
-                let m = self.target.measure(&Assignment::new(self.plan, row))?;
-                records.push(RawRecord {
-                    levels: interned[sequence].clone(),
-                    replicate: row.replicate,
-                    sequence: sequence as u64,
-                    start_us: m.start_us,
-                    value: m.value,
-                });
-            }
-        }
+            let (observer, cancel) = (self.observer.as_ref(), Some(&self.cancel));
+            run_batch(self.plan, &interned, &mut self.target, observer, (0, n), cancel)?
+        };
         let _finalize_span = self.profiler.span_on("engine", "engine.finalize");
-        let mut metadata = MetadataBuilder::new()
-            .with_engine_info()
-            .with_campaign_info(self.plan.len(), self.shuffle_seed)
-            .with_target_info(&self.target.metadata());
-        let report = if self.observer.is_some() {
-            metadata = metadata.set("observed", "true");
-            let mut report = CampaignReport::merge(vec![self.target.take_observation()]);
-            report.counters.add("engine.rows", records.len() as u64);
-            for (k, v) in self.target.diagnostics() {
-                report.diagnostics.add_owned(k, v);
-            }
-            add_hit_rates(&mut report.diagnostics);
-            report.spans.push(Span {
-                name: "campaign".to_string(),
-                t_start_us: 0.0,
-                t_end_us: records.last().map_or(0.0, |r| r.start_us),
-                wall_ns: wall_start.elapsed().as_nanos() as u64,
-            });
-            Some(report)
-        } else {
-            None
-        };
-        let data = CampaignData {
-            metadata: metadata.build(),
-            factor_names: self.plan.factor_names().to_vec(),
-            records,
-        };
-        Ok(CampaignRun { data, report })
+        Ok(assemble(&self, wall_start, vec![batch], None))
     }
 }
 
@@ -409,9 +374,10 @@ impl<'p, T: std::fmt::Debug> std::fmt::Debug for ShardedCampaign<'p, T> {
     }
 }
 
-/// What one claimed batch yields: its records, its local clock's final
-/// reading, its drained observation (when observing), its fork's
-/// diagnostics, and its wall time.
+/// What one batch yields: its records (on the batch's own clock), the
+/// clock reading the next batch's timeline starts from, its drained
+/// observation (when observing), its target's diagnostics, and the host
+/// time spent on it.
 struct BatchYield {
     records: Vec<RawRecord>,
     elapsed_us: f64,
@@ -420,67 +386,196 @@ struct BatchYield {
     wall_ns: u64,
 }
 
-/// What one worker thread reports back: the batches it claimed (with
+/// The one row loop: measures plan rows `lo..hi` on `target` in place
+/// and builds every [`RawRecord`] the engine emits. `cancel` is checked
+/// before each row (the one-batch run passes its token; pool workers
+/// check theirs at claim boundaries instead and pass `None`).
+///
+/// A plain [`Target`] exposes no clock, so the yield's `elapsed_us` is
+/// the last measurement's start, where the one-batch run's campaign span
+/// ends; pool workers replace it with their fork's clock reading.
+fn run_batch<T: Target>(
+    plan: &ExperimentPlan,
+    interned: &[Levels],
+    target: &mut T,
+    observer: Option<&Observer>,
+    (lo, hi): (usize, usize),
+    cancel: Option<&CancelToken>,
+) -> Result<BatchYield, TargetError> {
+    let batch_start = Instant::now();
+    if let Some(observer) = observer {
+        target.observe(observer);
+    }
+    let mut records = Vec::with_capacity(hi - lo);
+    let rows = plan.rows()[lo..hi].iter().zip(&interned[lo..hi]);
+    for (sequence, (row, levels)) in (lo as u64..).zip(rows) {
+        if cancel.is_some_and(CancelToken::is_cancelled) {
+            return Err(TargetError::Cancelled);
+        }
+        let m = target.measure(&Assignment::new(plan, row))?;
+        records.push(RawRecord {
+            levels: levels.clone(),
+            replicate: row.replicate,
+            sequence,
+            start_us: m.start_us,
+            value: m.value,
+        });
+    }
+    Ok(BatchYield {
+        elapsed_us: records.last().map_or(0.0, |r| r.start_us),
+        diagnostics: target.diagnostics(),
+        observation: observer.is_some().then(|| target.take_observation()),
+        records,
+        wall_ns: batch_start.elapsed().as_nanos() as u64,
+    })
+}
+
+/// Measures batch `b` (plan rows `lo..hi`) on a fresh fork positioned
+/// at its first row — the per-batch body of the work-stealing pool. The
+/// finished batch is flushed through the checkpoint sink (keyed
+/// `(batch, batches)`) before it is reported, so an interrupted
+/// campaign retains every batch it already paid for; the flush happens
+/// after the last measurement, outside every virtual clock and RNG
+/// stream, so it cannot change values. The batch's wall time covers
+/// the skip and the flush too.
+fn run_forked_batch<T: ParallelTarget>(
+    plan: &ExperimentPlan,
+    interned: &[Levels],
+    mut fork: T,
+    observer: Option<&Observer>,
+    sink: Option<&dyn CheckpointSink>,
+    (b, batches): (usize, usize),
+    (lo, hi): (usize, usize),
+) -> Result<BatchYield, TargetError> {
+    let batch_start = Instant::now();
+    fork.skip_to(lo as u64);
+    let mut batch = run_batch(plan, interned, &mut fork, observer, (lo, hi), None)?;
+    batch.elapsed_us = fork.now_us();
+    if let Some(sink) = sink {
+        let checkpoint =
+            ShardCheckpoint { records: batch.records.clone(), elapsed_us: batch.elapsed_us };
+        sink.save_shard(b, batches, &checkpoint)
+            .map_err(|e| TargetError::Checkpoint { message: e.to_string() })?;
+    }
+    batch.wall_ns = batch_start.elapsed().as_nanos() as u64;
+    Ok(batch)
+}
+
+/// What one pool worker reports back: the batches it claimed (with
 /// their outcomes) and how many of those claims were steals.
 struct WorkerYield {
     batches: Vec<(usize, Result<BatchYield, TargetError>)>,
     steals: u64,
 }
 
-/// One batch's place in the run geometry: which batch of how many, and
-/// the contiguous plan-row range it covers.
-struct BatchSpan {
-    batch: usize,
-    batches: usize,
-    lo: usize,
-    hi: usize,
+/// The pool's scheduling record: effective worker count, batch
+/// geometry, which worker ran each batch and per-worker steals. The
+/// one-batch run has none, so its metadata and report carry no geometry.
+struct Schedule {
+    workers: usize,
+    bounds: Vec<(usize, usize)>,
+    worker_of: Vec<usize>,
+    steals_per_worker: Vec<u64>,
 }
 
-/// Measures the span's plan rows on a fresh fork — the per-batch body
-/// of the work-stealing loop. The finished batch is flushed through the
-/// checkpoint sink (keyed `(batch, batches)`) before it is reported, so
-/// an interrupted campaign retains every batch it already paid for;
-/// the flush happens after the last measurement, outside every virtual
-/// clock and RNG stream, so it cannot change values.
-fn run_batch<T: ParallelTarget>(
-    plan: &ExperimentPlan,
-    interned: &[Levels],
-    mut target: T,
-    observer: Option<&Observer>,
-    sink: Option<&dyn CheckpointSink>,
-    span: BatchSpan,
-) -> Result<BatchYield, TargetError> {
-    let batch_start = Instant::now();
-    if let Some(observer) = observer {
-        target.observe(observer);
+/// The one assembly: concatenates the batches in plan order, shifting
+/// batch `b`'s records and events by the summed `elapsed_us` of batches
+/// `0..b` (nothing for the first), merges observations and
+/// diagnostics, and builds the metadata and — when observed — the
+/// report. A `schedule` adds the geometry metadata keys, per-worker
+/// diagnostics, scheduler tallies and one span per batch.
+fn assemble<T: Target>(
+    campaign: &Campaign<'_, T>,
+    wall_start: Instant,
+    batches: Vec<BatchYield>,
+    schedule: Option<Schedule>,
+) -> CampaignRun {
+    let plan = campaign.plan;
+    let mut records = Vec::with_capacity(plan.len());
+    let mut offsets = Vec::with_capacity(batches.len());
+    let mut observations = Vec::with_capacity(batches.len());
+    let mut diagnostics = Counters::new();
+    let mut spans = Vec::with_capacity(batches.len() + 1);
+    let mut clock_us = 0.0f64;
+    for (b, mut batch) in batches.into_iter().enumerate() {
+        offsets.push(clock_us);
+        for r in &mut batch.records {
+            r.start_us += clock_us;
+        }
+        records.append(&mut batch.records);
+        for (k, v) in batch.diagnostics {
+            // Campaign total plus, in the pool, a per-worker breakdown
+            // keyed by the worker that actually executed the batch.
+            if let Some(s) = &schedule {
+                diagnostics.add_owned(format!("shard{}.{k}", s.worker_of[b]), v);
+            }
+            diagnostics.add_owned(k, v);
+        }
+        if let Some(mut obs) = batch.observation {
+            // Shift batch-local event timestamps onto the campaign
+            // timeline, like record timestamps above. Sequence numbers
+            // are already global (skip_to set the index).
+            for e in &mut obs.events {
+                e.t_us += clock_us;
+            }
+            if schedule.is_some() {
+                spans.push(Span {
+                    name: format!("batch{b}"),
+                    t_start_us: clock_us,
+                    t_end_us: clock_us + batch.elapsed_us,
+                    wall_ns: batch.wall_ns,
+                });
+            }
+            observations.push(obs);
+        }
+        clock_us += batch.elapsed_us;
     }
-    target.skip_to(span.lo as u64);
-    let mut records = Vec::with_capacity(span.hi - span.lo);
-    let rows = &plan.rows()[span.lo..span.hi];
-    for (offset, (row, levels)) in rows.iter().zip(&interned[span.lo..span.hi]).enumerate() {
-        let m = target.measure(&Assignment::new(plan, row))?;
-        records.push(RawRecord {
-            levels: levels.clone(),
-            replicate: row.replicate,
-            sequence: (span.lo + offset) as u64,
-            start_us: m.start_us,
-            value: m.value,
+    let mut metadata = MetadataBuilder::new()
+        .with_engine_info()
+        .with_campaign_info(plan.len(), campaign.shuffle_seed)
+        .with_target_info(&campaign.target.metadata());
+    if let Some(s) = &schedule {
+        let offsets = offsets.iter().map(|o| format!("{o:.3}")).collect::<Vec<_>>().join(",");
+        metadata = metadata
+            .set("shards", s.workers)
+            .set("batches", s.bounds.len())
+            .set("shard_clock_offsets", offsets);
+    }
+    let report = if campaign.observer.is_some() {
+        metadata = metadata.set("observed", "true");
+        let mut report = CampaignReport::merge(observations);
+        // merge() counts observations (= batches); the report's shard
+        // count is the worker count.
+        report.shards = schedule.as_ref().map_or(1, |s| s.workers);
+        report.counters.add("engine.rows", records.len() as u64);
+        report.spans = spans;
+        report.spans.push(Span {
+            name: "campaign".to_string(),
+            t_start_us: 0.0,
+            t_end_us: clock_us,
+            wall_ns: wall_start.elapsed().as_nanos() as u64,
         });
-    }
-    if let Some(sink) = sink {
-        let checkpoint = ShardCheckpoint { records: records.clone(), elapsed_us: target.now_us() };
-        sink.save_shard(span.batch, span.batches, &checkpoint)
-            .map_err(|e| TargetError::Checkpoint { message: e.to_string() })?;
-    }
-    let diagnostics = target.diagnostics();
-    let observation = observer.is_some().then(|| target.take_observation());
-    Ok(BatchYield {
+        if let Some(s) = &schedule {
+            let steals = s.steals_per_worker.iter().sum();
+            diagnostics.add("engine.scheduler.batches", s.bounds.len() as u64);
+            diagnostics.add("engine.scheduler.steals", steals);
+            diagnostics.add("engine.scheduler.splits", scheduler_splits(&s.bounds));
+            for (w, steals) in s.steals_per_worker.iter().enumerate() {
+                diagnostics.add_owned(format!("shard{w}.engine.scheduler.steals"), *steals);
+            }
+        }
+        add_hit_rates(&mut diagnostics);
+        report.diagnostics = diagnostics;
+        Some(report)
+    } else {
+        None
+    };
+    let data = CampaignData {
+        metadata: metadata.build(),
+        factor_names: plan.factor_names().to_vec(),
         records,
-        elapsed_us: target.now_us(),
-        observation,
-        diagnostics,
-        wall_ns: batch_start.elapsed().as_nanos() as u64,
-    })
+    };
+    CampaignRun { data, report }
 }
 
 impl<'p, T: ParallelTarget> ShardedCampaign<'p, T> {
@@ -568,71 +663,41 @@ impl<'p, T: ParallelTarget> ShardedCampaign<'p, T> {
     ///
     /// # Scheduling
     ///
-    /// The plan's `n` rows are carved into the [`batch_bounds`] guided
-    /// geometry — large batches up front, progressively finer ones as
-    /// the claim counter drains, floored at
-    /// [`ShardedCampaign::min_rows_per_shard`] rows — and
-    /// [`effective_workers`] threads claim them one `fetch_add` at a
-    /// time. Claiming is dynamic: a worker that finishes early claims
-    /// the next unclaimed batch, *stealing* it from the worker a static
-    /// split would have given it, so a slow batch no longer leaves the
-    /// other threads idle behind a barrier — and because the tail is
-    /// fine-grained, the last batches level out skew from high-variance
-    /// cells. Which worker executes a batch affects wall-clock time
-    /// only, never results, because every batch runs on a fresh fork
-    /// positioned by measurement index (see below). Steal and split
-    /// counts surface as diagnostics (`engine.scheduler.steals`,
-    /// `engine.scheduler.splits`), not as scientific counters.
+    /// The plan is carved into the [`batch_bounds`] guided geometry and
+    /// [`effective_workers`] threads claim batches one `fetch_add` at a
+    /// time; a worker that finishes early *steals* the next unclaimed
+    /// batch, so a slow batch never leaves its peers idle. Which worker
+    /// runs a batch changes wall-clock time only: steal and split counts
+    /// are diagnostics (`engine.scheduler.steals`, `.splits`), never
+    /// scientific counters (DESIGN.md §14).
     ///
     /// # Determinism
     ///
-    /// Each claimed batch gets an independent fork of the target (same
-    /// configuration, same stream seed — see [`ParallelTarget::fork`])
-    /// positioned at the batch's first measurement index via
-    /// [`ParallelTarget::skip_to`]. Because every random draw of a
-    /// shard-invariant target is a pure function of `(stream seed,
-    /// measurement index)`, batch `b` produces bit-for-bit the values a
-    /// sequential run produces for its rows, so the merged campaign has
-    /// exactly the sequential `(levels, replicate, value)` multiset
-    /// regardless of worker count, batch geometry, or claim order.
-    /// Forks of a memoizing target share one memoization cache
-    /// campaign-wide; the cache is consulted only after all random
-    /// draws (DESIGN.md §13), so sharing changes hit rates — reported
-    /// in the diagnostics channel — never values.
-    ///
-    /// Virtual clocks are batch-local: each fork starts at time 0, and
-    /// the merge shifts batch `b`'s timestamps (records *and* events) by
-    /// the summed elapsed time of batches `0..b`. With deterministic
-    /// per-measurement durations this reconstructs the sequential
-    /// timeline up to float rounding in the offset sums (for one worker
-    /// there is a single batch with offset 0 and the campaign equals the
-    /// sequential run record-for-record). The applied offsets are
-    /// recorded in metadata under `shard_clock_offsets` (one per batch),
-    /// next to `shards` (the effective worker count) and `batches`.
-    ///
-    /// The original target is consumed but only forked, never measured;
-    /// the run behaves as if a fresh target with its configuration and
-    /// stream seed had executed the plan.
+    /// Each batch runs on a fresh fork ([`ParallelTarget::fork`], same
+    /// stream seed) skipped to its first measurement index, so a
+    /// shard-invariant target yields bit-for-bit the values of the
+    /// one-batch run whatever the worker count, geometry or claim order
+    /// (DESIGN.md §9). Clocks are batch-local: the merge shifts batch
+    /// `b`'s records and events by the summed elapsed time of batches
+    /// `0..b`, which reconstructs the one-batch timeline up to float
+    /// rounding of the offset sums. Metadata records the offsets
+    /// (`shard_clock_offsets`), `shards` (the effective worker count)
+    /// and `batches`. The original target is only forked, never measured.
     ///
     /// # Errors
     ///
-    /// Returns [`TargetError::NotShardable`] when the effective worker
-    /// count exceeds 1 and the target reports
-    /// [`ParallelTarget::shard_invariant`] `== false` (time-dependent
-    /// physics such as `ondemand` DVFS or intruder scheduling): sharding
-    /// such a target would silently change its science, so the engine
-    /// refuses instead. (A request the tiny-campaign clamp reduces to
-    /// one worker runs sequentially and is always fine.) Measurement
-    /// errors fail the campaign like the sequential run; the error for
-    /// the earliest failing plan row wins — batches are claimed in index
-    /// order, so every batch before the earliest failure has a result.
-    /// A fired [`CancelToken`] (see [`ShardedCampaign::cancel_token`])
-    /// returns [`TargetError::Cancelled`] once the workers drain; a token
-    /// that fires after the last batch was claimed lets the run complete
-    /// normally — cancellation is advisory, never destructive.
+    /// [`TargetError::NotShardable`] when more than one worker would run
+    /// a target whose [`ParallelTarget::shard_invariant`] is `false`
+    /// (`ondemand` DVFS, intruder scheduling): sharding would silently
+    /// change its science. A request the tiny-campaign clamp reduces to
+    /// one worker is always fine. Measurement errors fail the campaign;
+    /// the earliest failing plan row wins, because batches are claimed in
+    /// index order. A fired [`CancelToken`] returns
+    /// [`TargetError::Cancelled`] once the workers drain; a token that
+    /// fires after the last claim lets the run complete normally.
     pub fn run(self) -> Result<CampaignRun, TargetError> {
         let ShardedCampaign { inner, shards, sink, resume, min_rows_per_shard } = self;
-        let Campaign { plan, target: base, shuffle_seed, observer, profiler, cancel } = inner;
+        let Campaign { plan, target: ref base, ref observer, ref profiler, ref cancel, .. } = inner;
         let _run_span = profiler.span_on("engine", "engine.run");
         let wall_start = Instant::now();
         let n = plan.len();
@@ -696,16 +761,15 @@ impl<'p, T: ParallelTarget> ShardedCampaign<'p, T> {
         let next = AtomicUsize::new(0);
         let abort = AtomicBool::new(false);
         let parallel_start_ns = profiler.elapsed_ns();
-        let worker_yields: Vec<WorkerYield> = crossbeam::thread::scope(|scope| {
+        let worker_yields: Vec<WorkerYield> = std::thread::scope(|scope| {
             let handles: Vec<_> = protos
                 .into_iter()
                 .enumerate()
                 .map(|(w, proto)| {
-                    let profiler = profiler.clone();
-                    let (next, abort, bounds, replayed_mask, observer, cancel, interned) =
-                        (&next, &abort, &bounds, &replayed_mask, &observer, &cancel, &interned);
-                    scope.spawn(move |_| {
-                        let mut batches: Vec<(usize, Result<BatchYield, TargetError>)> = Vec::new();
+                    let (next, abort, bounds, replayed_mask, interned) =
+                        (&next, &abort, &bounds, &replayed_mask, &interned);
+                    scope.spawn(move || {
+                        let mut batches = Vec::new();
                         let mut steals = 0u64;
                         loop {
                             // Batch-claim boundary: an aborted (failed)
@@ -736,14 +800,14 @@ impl<'p, T: ParallelTarget> ShardedCampaign<'p, T> {
                                     .arg("batch", b)
                                     .arg("rows", hi - lo)
                             });
-                            let span = BatchSpan { batch: b, batches: bounds.len(), lo, hi };
-                            let result = run_batch(
+                            let result = run_forked_batch(
                                 plan,
                                 interned,
                                 proto.fork(seed),
                                 observer.as_ref(),
                                 sink,
-                                span,
+                                (b, bounds.len()),
+                                (lo, hi),
                             );
                             let failed = result.is_err();
                             batches.push((b, result));
@@ -759,16 +823,13 @@ impl<'p, T: ParallelTarget> ShardedCampaign<'p, T> {
                 })
                 .collect();
             handles.into_iter().map(|h| h.join().expect("worker thread panicked")).collect()
-        })
-        .expect("scope panicked");
+        });
         let mut executed: Vec<Option<Result<BatchYield, TargetError>>> =
             (0..nbatches).map(|_| None).collect();
         let mut steals_per_worker = vec![0u64; workers];
-        let mut total_steals = 0u64;
         let mut worker_of: Vec<usize> = vec![0; nbatches];
         for (w, wy) in worker_yields.into_iter().enumerate() {
             steals_per_worker[w] = wy.steals;
-            total_steals += wy.steals;
             for (b, res) in wy.batches {
                 worker_of[b] = w;
                 executed[b] = Some(res);
@@ -786,6 +847,7 @@ impl<'p, T: ParallelTarget> ShardedCampaign<'p, T> {
             let capacity_ns = parallel_dur_ns.saturating_mul(workers as u64);
             let utilization =
                 if capacity_ns == 0 { 0.0 } else { busy_ns as f64 / capacity_ns as f64 };
+            let total_steals: u64 = steals_per_worker.iter().sum();
             profiler.record(WallSpan {
                 track: "engine".to_string(),
                 name: "engine.parallel".to_string(),
@@ -802,101 +864,33 @@ impl<'p, T: ParallelTarget> ShardedCampaign<'p, T> {
         }
 
         let _merge_span = profiler.span_on("engine", "engine.merge");
-        let mut records = Vec::with_capacity(n);
-        let mut offsets = Vec::with_capacity(nbatches);
-        let mut observations = Vec::with_capacity(nbatches);
-        let mut diagnostics = Counters::new();
-        let mut spans = Vec::with_capacity(nbatches);
-        let mut clock_us = 0.0f64;
-        for (b, (loaded, outcome)) in replayed.into_iter().zip(executed).enumerate() {
+        let mut batches = Vec::with_capacity(nbatches);
+        for (loaded, outcome) in replayed.into_iter().zip(executed) {
             // Batches are claimed in index order, so every batch before
             // the earliest failure has a result, and the first failing
             // batch holds the earliest failing plan row. Replayed batches
             // carry their stored clock reading, so the offset arithmetic
             // — and therefore every timestamp — matches the uninterrupted
             // run.
-            let (mut batch_records, batch_elapsed_us, observation, batch_diag, wall_ns) =
-                match (loaded, outcome) {
-                    (Some(chk), _) => (chk.records, chk.elapsed_us, None, Vec::new(), 0u64),
-                    (None, Some(Ok(y))) => {
-                        (y.records, y.elapsed_us, y.observation, y.diagnostics, y.wall_ns)
-                    }
-                    (None, Some(Err(e))) => return Err(e),
-                    // A hole with neither a replay nor an execution means
-                    // the claim loop stopped handing out batches — with a
-                    // fired token that is cancellation (whole segments for
-                    // every batch that did run are already in the sink).
-                    (None, None) if cancel.is_cancelled() => return Err(TargetError::Cancelled),
-                    (None, None) => unreachable!("batch neither replayed nor executed"),
-                };
-            offsets.push(clock_us);
-            for r in &mut batch_records {
-                r.start_us += clock_us;
-            }
-            records.append(&mut batch_records);
-            for (k, v) in batch_diag {
-                // Campaign total plus a per-worker breakdown keyed by the
-                // worker that actually executed the batch.
-                diagnostics.add_owned(format!("shard{}.{k}", worker_of[b]), v);
-                diagnostics.add_owned(k, v);
-            }
-            if let Some(mut obs) = observation {
-                // Shift batch-local event timestamps onto the campaign
-                // timeline, like record timestamps above. Sequence
-                // numbers are already global (skip_to set the index).
-                for e in &mut obs.events {
-                    e.t_us += clock_us;
-                }
-                spans.push(Span {
-                    name: format!("batch{b}"),
-                    t_start_us: clock_us,
-                    t_end_us: clock_us + batch_elapsed_us,
-                    wall_ns,
-                });
-                observations.push(obs);
-            }
-            clock_us += batch_elapsed_us;
-        }
-        let offsets_str = offsets.iter().map(|o| format!("{o:.3}")).collect::<Vec<_>>().join(",");
-        let mut metadata = MetadataBuilder::new()
-            .with_engine_info()
-            .with_campaign_info(plan.len(), shuffle_seed)
-            .with_target_info(&base.metadata())
-            .set("shards", workers)
-            .set("batches", nbatches)
-            .set("shard_clock_offsets", offsets_str);
-        let report = if observer.is_some() {
-            metadata = metadata.set("observed", "true");
-            let mut report = CampaignReport::merge(observations);
-            // merge() counts observations (= batches); the report's shard
-            // count is the worker count.
-            report.shards = workers;
-            report.counters.add("engine.rows", records.len() as u64);
-            report.spans = spans;
-            report.spans.push(Span {
-                name: "campaign".to_string(),
-                t_start_us: 0.0,
-                t_end_us: clock_us,
-                wall_ns: wall_start.elapsed().as_nanos() as u64,
+            batches.push(match (loaded, outcome) {
+                (Some(chk), _) => BatchYield {
+                    records: chk.records,
+                    elapsed_us: chk.elapsed_us,
+                    observation: None,
+                    diagnostics: Vec::new(),
+                    wall_ns: 0,
+                },
+                (None, Some(executed)) => executed?,
+                // A hole with neither a replay nor an execution means
+                // the claim loop stopped handing out batches — with a
+                // fired token that is cancellation (whole segments for
+                // every batch that did run are already in the sink).
+                (None, None) if cancel.is_cancelled() => return Err(TargetError::Cancelled),
+                (None, None) => unreachable!("batch neither replayed nor executed"),
             });
-            diagnostics.add("engine.scheduler.batches", nbatches as u64);
-            diagnostics.add("engine.scheduler.steals", total_steals);
-            diagnostics.add("engine.scheduler.splits", scheduler_splits(&bounds));
-            for (w, s) in steals_per_worker.iter().enumerate() {
-                diagnostics.add_owned(format!("shard{w}.engine.scheduler.steals"), *s);
-            }
-            add_hit_rates(&mut diagnostics);
-            report.diagnostics = diagnostics;
-            Some(report)
-        } else {
-            None
-        };
-        let data = CampaignData {
-            metadata: metadata.build(),
-            factor_names: plan.factor_names().to_vec(),
-            records,
-        };
-        Ok(CampaignRun { data, report })
+        }
+        let schedule = Schedule { workers, bounds, worker_of, steals_per_worker };
+        Ok(assemble(&inner, wall_start, batches, Some(schedule)))
     }
 }
 

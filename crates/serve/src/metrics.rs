@@ -1,12 +1,16 @@
 //! Service counters and per-tenant accounting.
 //!
-//! One lock over two sorted maps: the `serve.*` counters the `status`
-//! request reports, and the per-tenant state the admission path charges
-//! — concurrent-job count plus a rolling window of admitted plan rows.
-//! Everything here is bookkeeping about the *service*; the scientific
-//! counters of a campaign stay in its own `charm_obs` report.
+//! One lock over the `serve.*` counters the `status` request reports
+//! (monotonic [`Counters`], the type campaign reports use) and the
+//! per-tenant state the admission path charges — concurrent-job count
+//! plus a rolling window of admitted plan rows. `serve.accepted` is not
+//! stored as a counter: a rolled-back admission takes it back, so it is
+//! the sum of the per-tenant `accepted` tallies. Everything here is
+//! bookkeeping about the *service*; the scientific counters of a
+//! campaign stay in its own `charm_obs` report.
 
 use crate::protocol::RejectReason;
+use charm_obs::Counters;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -47,12 +51,27 @@ impl Tenant {
 
 #[derive(Debug, Default)]
 struct Inner {
-    counters: BTreeMap<String, u64>,
+    counters: Counters,
     tenants: BTreeMap<String, Tenant>,
+    /// Whether any admission ever succeeded: from then on `status`
+    /// lists `serve.accepted`, even when every admission was rolled back.
+    admitted_any: bool,
+}
+
+impl Inner {
+    /// The stored counters plus `serve.accepted`, derived from the
+    /// per-tenant tallies.
+    fn counters(&self) -> Counters {
+        let mut counters = self.counters.clone();
+        if self.admitted_any {
+            counters.add("serve.accepted", self.tenants.values().map(|t| t.accepted).sum());
+        }
+        counters
+    }
 }
 
 /// The service's counter and quota state. All methods take `&self`;
-/// one internal mutex keeps the two maps consistent.
+/// one internal mutex keeps counters and tenants consistent.
 #[derive(Debug, Default)]
 pub struct Metrics {
     inner: Mutex<Inner>,
@@ -66,20 +85,19 @@ impl Metrics {
 
     /// Adds `n` to the counter `key`.
     pub fn bump(&self, key: &str, n: u64) {
-        let mut inner = self.inner.lock().unwrap();
-        *inner.counters.entry(key.to_string()).or_insert(0) += n;
+        self.inner.lock().unwrap().counters.add(key, n);
     }
 
     /// Current value of `key` (zero if never touched).
     pub fn get(&self, key: &str) -> u64 {
-        self.inner.lock().unwrap().counters.get(key).copied().unwrap_or(0)
+        self.inner.lock().unwrap().counters().get(key)
     }
 
     /// Charges a rejection to `tenant` and the matching
     /// `serve.rejected.*` counter.
     pub fn reject(&self, tenant: &str, reason: RejectReason) {
         let mut inner = self.inner.lock().unwrap();
-        *inner.counters.entry(format!("serve.rejected.{reason}")).or_insert(0) += 1;
+        inner.counters.add_owned(format!("serve.rejected.{reason}"), 1);
         inner.tenants.entry(tenant.to_string()).or_default().rejected += 1;
     }
 
@@ -101,7 +119,7 @@ impl Metrics {
         t.active += 1;
         t.accepted += 1;
         t.admitted.push_back((now, rows));
-        *inner.counters.entry("serve.accepted".to_string()).or_insert(0) += 1;
+        inner.admitted_any = true;
         Ok(())
     }
 
@@ -114,8 +132,6 @@ impl Metrics {
             t.accepted = t.accepted.saturating_sub(1);
             t.admitted.pop_back();
         }
-        let c = inner.counters.entry("serve.accepted".to_string()).or_insert(0);
-        *c = c.saturating_sub(1);
     }
 
     /// Releases an admitted job's concurrency slot (the run finished,
@@ -135,7 +151,7 @@ impl Metrics {
         let now = Instant::now();
         let mut inner = self.inner.lock().unwrap();
         let counters: Vec<(String, u64)> =
-            inner.counters.iter().map(|(k, v)| (k.clone(), *v)).collect();
+            inner.counters().iter().map(|(k, v)| (k.to_string(), v)).collect();
         let mut tenants = Vec::new();
         let window = Duration::from_secs(u64::MAX / 2); // snapshot never prunes
         for (name, t) in inner.tenants.iter_mut() {
@@ -165,6 +181,7 @@ mod tests {
     #[test]
     fn counters_accumulate() {
         let m = Metrics::new();
+        assert!(m.snapshot().0.is_empty(), "no admission yet: serve.accepted unlisted");
         m.bump("serve.connections", 1);
         m.bump("serve.connections", 2);
         assert_eq!(m.get("serve.connections"), 3);
@@ -204,6 +221,8 @@ mod tests {
         assert!(m.try_admit("t", 60, &q).is_ok());
         m.rollback_admit("t");
         assert_eq!(m.get("serve.accepted"), 0);
+        // status still lists the counter, as it did before the rollback
+        assert!(m.snapshot().0.contains(&("serve.accepted".to_string(), 0)));
         // both the slot and the rows are free again
         assert!(m.try_admit("t", 60, &q).is_ok());
     }

@@ -26,9 +26,8 @@
 use crate::metrics::{Metrics, Quotas};
 use crate::protocol::{Event, PlanKind, RejectReason, Request, Source, PROTOCOL};
 use crate::stream::StreamSink;
-use crate::submit::{self, Prepared};
+use crate::submit::{self, Prepared, ServedTarget};
 use charm_design::ExperimentPlan;
-use charm_engine::registry::{self, ResolvedTarget, TargetSpec};
 use charm_engine::{Campaign, CampaignRun, CancelToken, ParallelTarget, TargetError};
 use charm_obs::Observer;
 use charm_store::{CampaignKey, CheckpointSession, RunId, Store, StoreError};
@@ -88,10 +87,9 @@ struct Job {
     id: String,
     tenant: String,
     plan: ExperimentPlan,
-    target: TargetSpec,
+    target: ServedTarget,
     label: String,
     shuffle_seed: Option<u64>,
-    seed: u64,
     shards: u64,
     observe: bool,
     resume: bool,
@@ -523,7 +521,6 @@ fn handle_submit(
         target,
         label,
         shuffle_seed,
-        seed,
         shards,
         observe,
         resume,
@@ -656,13 +653,9 @@ fn execute_job(shared: &Shared, job: Job) {
         shared.metrics.bump("serve.jobs_resumed", 1);
     }
     let sink = StreamSink::new(&job.session, &job.id, job.tx.clone());
-    let result = match registry::resolve(&job.target, job.seed) {
-        Ok(ResolvedTarget::Network(t)) => run_sharded(&job, *t, &sink),
-        Ok(ResolvedTarget::Memory(t)) => run_sharded(&job, *t, &sink),
-        Ok(ResolvedTarget::External(_)) => {
-            Err(TargetError::Protocol { detail: "external target admitted".into() })
-        }
-        Err(e) => Err(e),
+    let result = match &job.target {
+        ServedTarget::Network(t) => run_sharded(&job, t.as_ref(), &sink),
+        ServedTarget::Memory(t) => run_sharded(&job, t.as_ref(), &sink),
     };
     let streamed = sink.streamed();
     match result {
@@ -734,13 +727,16 @@ fn finish(shared: &Shared, job: &Job) {
 /// Runs one job's campaign on the work-stealing engine, streaming
 /// through `sink`. `min_rows_per_shard(1)` takes the requested shard
 /// count literally, so the run's geometry — and therefore its metadata
-/// and run ID — is exactly what the submission asked for.
+/// and run ID — is exactly what the submission asked for. The engine
+/// only ever forks its base target, so handing it a fork of the job's
+/// target on the same stream seed runs exactly that target.
 fn run_sharded<T: ParallelTarget>(
     job: &Job,
-    target: T,
+    target: &T,
     sink: &StreamSink<'_>,
 ) -> Result<CampaignRun, TargetError> {
-    let mut sharded = Campaign::new(&job.plan, target)
+    let base = target.fork(target.stream_seed());
+    let mut sharded = Campaign::new(&job.plan, base)
         .shards(job.shards as usize)
         .seed(job.shuffle_seed)
         .cancel_token(job.cancel.clone())

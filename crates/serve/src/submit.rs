@@ -15,17 +15,25 @@ use charm_core::spec::BenchmarkSpec;
 use charm_design::dsl;
 use charm_design::ExperimentPlan;
 use charm_engine::registry::{self, ResolvedTarget, TargetSpec};
+use charm_engine::target::{MemoryTarget, NetworkTarget};
 use charm_store::target_identity;
 
+/// A submission's target, resolved once at admission: the in-process
+/// kinds the service can fork, stream and resume.
+pub(crate) enum ServedTarget {
+    /// A network substrate.
+    Network(Box<NetworkTarget>),
+    /// A memory substrate.
+    Memory(Box<MemoryTarget>),
+}
+
 /// A compiled, validated submission, ready for admission.
-#[derive(Debug, Clone)]
 pub(crate) struct Prepared {
     /// The executable plan, in final row order.
     pub plan: ExperimentPlan,
-    /// The declarative target the worker re-resolves at run time.
-    pub target: TargetSpec,
-    /// The target's store identity (`name#digest`), from a resolution
-    /// at `seed` — deterministic, so admission and execution agree.
+    /// The resolved target the worker runs the campaign on.
+    pub target: ServedTarget,
+    /// The target's store identity (`name#digest`).
     pub target_id: String,
     /// The benchmark label the run archives under: the platform name in
     /// DSL mode, the resolved target label in spec mode (exactly what
@@ -71,9 +79,9 @@ pub(crate) fn prepare(
     if plan.is_empty() {
         return Err(bad_plan("plan has no rows"));
     }
-    let target_id = match registry::resolve(&target, seed) {
-        Ok(ResolvedTarget::Network(t)) => target_identity(t.as_ref()),
-        Ok(ResolvedTarget::Memory(t)) => target_identity(t.as_ref()),
+    let (target_id, target) = match registry::resolve(&target, seed) {
+        Ok(ResolvedTarget::Network(t)) => (target_identity(t.as_ref()), ServedTarget::Network(t)),
+        Ok(ResolvedTarget::Memory(t)) => (target_identity(t.as_ref()), ServedTarget::Memory(t)),
         Ok(ResolvedTarget::External(_)) => {
             return Err(bad_plan(
                 "external engines are not served (a subprocess cannot be forked, streamed, \
@@ -88,6 +96,7 @@ pub(crate) fn prepare(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use charm_engine::{Campaign, Target};
 
     const DSL: &str = "factor op in [ping_pong]\nfactor size in [64, 1024]\nreplicates 2\n";
 
@@ -98,7 +107,8 @@ mod tests {
         assert_eq!(p.label, "taurus");
         assert_eq!(p.shuffle_seed, None);
         assert!(p.target_id.starts_with("taurus#"), "{}", p.target_id);
-        assert_eq!(p.target, TargetSpec::Network { preset: "taurus".into(), label: None });
+        let ServedTarget::Network(t) = &p.target else { panic!("taurus is a network platform") };
+        assert_eq!(t.name(), "taurus");
     }
 
     #[test]
@@ -106,12 +116,18 @@ mod tests {
         let dsl = "factor size_bytes in [4096, 8192]\nreplicates 2\n";
         let p = prepare(PlanKind::Dsl, dsl, "opteron", 3).unwrap();
         assert!(p.target_id.starts_with("opteron#"));
-        match p.target {
-            TargetSpec::Memory { governor, sched, alloc, .. } => {
-                assert!(governor.is_none() && sched.is_none() && alloc.is_none());
-            }
-            other => panic!("wrong spec: {other:?}"),
-        }
+        let ServedTarget::Memory(served) = p.target else { panic!("opteron is a memory platform") };
+        // The served target is the registry's default-policy resolution:
+        // it measures the same bytes as the target run_campaign builds.
+        let spec = registry::platform("opteron").unwrap();
+        let TargetSpec::Memory { governor: None, sched: None, alloc: None, .. } = spec else {
+            panic!("DSL platforms carry no policy overrides: {spec:?}")
+        };
+        let Ok(ResolvedTarget::Memory(direct)) = registry::resolve(&spec, 3) else {
+            panic!("opteron resolves to a memory target")
+        };
+        let csv = |t: MemoryTarget| Campaign::new(&p.plan, t).run().unwrap().data.to_csv();
+        assert_eq!(csv(*served), csv(*direct));
     }
 
     #[test]
@@ -131,7 +147,7 @@ mod tests {
             (PlanKind::Spec, "not = toml =", ""),  // spec parse error
             (PlanKind::Spec, "[benchmark]\n", ""), // incomplete spec
         ] {
-            let err = prepare(kind, plan, platform, 1).unwrap_err();
+            let Err(err) = prepare(kind, plan, platform, 1) else { panic!("{plan:?} compiled") };
             assert_eq!(err.0, RejectReason::BadPlan, "{plan:?}: {}", err.1);
         }
     }
@@ -146,7 +162,8 @@ mod tests {
             Err((RejectReason::BadPlan, detail)) => {
                 assert!(detail.contains("external"), "{detail}");
             }
-            other => panic!("expected bad_plan, got {other:?}"),
+            Err(other) => panic!("expected bad_plan, got {other:?}"),
+            Ok(_) => panic!("an external target was admitted"),
         }
     }
 }

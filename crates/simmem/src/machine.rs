@@ -12,7 +12,7 @@ use crate::memo::{
 use crate::paging::{AllocPolicy, PageAllocator};
 use crate::sched::{IntruderConfig, SchedPolicy, Scheduler};
 use crate::stream;
-use charm_obs::{CounterSet, Counters, IndexedNames, Observation, Recorder};
+use charm_obs::{IndexedNames, Observation, Recorder};
 use std::cell::RefCell;
 use std::sync::Arc;
 
@@ -792,12 +792,6 @@ fn record_cache_counters(
         missed_so_far = misses;
     }
     recorder.count("simmem.cache.dram_lines", profile.served_by_dram * nloops);
-}
-
-impl CounterSet for MachineSim {
-    fn counter_snapshot(&self) -> Counters {
-        self.recorder.counter_snapshot()
-    }
 }
 
 /// Quantizes a `[0, 1]` fraction to integer permille, keeping counter

@@ -3,7 +3,7 @@
 use crate::clock::VirtualClock;
 use crate::noise::NoiseModel;
 use crate::protocol::{PiecewiseProtocol, ProtocolMode};
-use charm_obs::{CounterSet, Counters, Observation, Recorder};
+use charm_obs::{Observation, Recorder};
 
 /// The three measurable network operations of the methodology (§V-A).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
@@ -194,12 +194,6 @@ impl NetworkSim {
     }
 }
 
-impl CounterSet for NetworkSim {
-    fn counter_snapshot(&self) -> Counters {
-        self.recorder.counter_snapshot()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -330,8 +324,8 @@ mod tests {
         assert_eq!(obs.events[3].attr("mode"), Some("eager"));
         assert_eq!(obs.events[3].attr("op"), Some("ping_pong"));
         // forked shards carry an empty recorder with the same enablement
-        let fork = sim.fork(sim.stream_seed());
+        let mut fork = sim.fork(sim.stream_seed());
         assert!(fork.observability_enabled());
-        assert!(fork.counter_snapshot().is_empty());
+        assert_eq!(fork.take_observation(), Observation::default());
     }
 }
