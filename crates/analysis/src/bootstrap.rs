@@ -108,11 +108,11 @@ where
             .map(|t| ((t * reps / threads) as u64, ((t + 1) * reps / threads) as u64))
             .collect();
         let stat = &stat;
-        crossbeam::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             let handles: Vec<_> = chunks
                 .iter()
                 .map(|&(lo, hi)| {
-                    scope.spawn(move |_| {
+                    scope.spawn(move || {
                         let mut scratch = vec![0.0; n];
                         (lo..hi)
                             .map(|rep| replicate_stat(xs, stat, seed, rep, &mut scratch))
@@ -122,7 +122,6 @@ where
                 .collect();
             handles.into_iter().flat_map(|h| h.join().expect("bootstrap thread panicked")).collect()
         })
-        .expect("scope panicked")
     } else {
         let mut scratch = vec![0.0; n];
         (0..reps as u64).map(|rep| replicate_stat(xs, &stat, seed, rep, &mut scratch)).collect()

@@ -5,8 +5,7 @@
 //! run_campaign --benchmark SPEC.toml [--param NAME=VALUE]... [flags]
 //! run_campaign <plan.dsl> <platform> [flags]
 //!
-//! flags: [--seed N] [--shards N] [--min-rows-per-shard N] [--out DIR]
-//!        [--obs-jsonl] [--store DIR] [--resume RUN_ID]
+//! flags: [--seed N] [--shards N] [--out DIR] [--obs-jsonl] [--store DIR]
 //! platforms: taurus | myrinet | openmpi | opteron | pentium4 | i7 | arm
 //! ```
 //!
@@ -34,25 +33,32 @@
 //! `--shards N` fans the campaign out over N forks of the target (all
 //! in-process platforms are shard-invariant, so the records are
 //! identical to a sequential run — see DESIGN.md on the determinism
-//! contract). The default is [`Study::auto_shards`]: sequential below
-//! the row threshold, one shard per core above it. The engine also
-//! clamps workers to one per `--min-rows-per-shard` plan rows (default
-//! [`charm_engine::DEFAULT_MIN_ROWS_PER_SHARD`]); pass `1` to take the
-//! shard count literally on tiny plans. `--obs-jsonl` also writes the
-//! campaign's counters and provenance events next to the CSV.
+//! contract). An explicit count is taken literally (clamped to the
+//! plan's rows); the default is [`Study::auto_shards`]: sequential below
+//! the row threshold, one shard per core (at most one per 64 rows)
+//! above it. `--obs-jsonl` also writes the campaign's counters and
+//! provenance events next to the CSV.
 //!
-//! `--store DIR` archives the campaign into a `charm_store` store:
-//! finished shards are flushed as checkpoint segments while the run is
-//! still going, and the final records + manifest are archived under a
-//! run ID derived from `(plan, target, seed, shards)` (printed as
-//! `archived run <id>`). `--resume RUN_ID` replays the finished shards
-//! of that interrupted run and executes only the missing ones — the
-//! resumed records are bit-identical to an uninterrupted run. The given
-//! ID must match what the current plan/platform/seed/shards derive, so
-//! a resume can never silently splice a different campaign's data —
-//! not even the same plan run against a different platform. (External
-//! engines archive the finished run but have no shard checkpoints, so
-//! `--resume` does not apply to them.)
+//! `--store DIR` archives the campaign into a `charm_store` store under
+//! a run ID derived from `(plan, target, seed, shards)`. The key routes
+//! through `Store::route`, the dedupe rule `charm-serve` applies too,
+//! and the run prints which of three things it did:
+//!
+//! * `replayed run <id>` — the store already archives this campaign:
+//!   its verified records are written out, nothing runs and nothing is
+//!   written to the store;
+//! * `resumed run <id>` — an earlier run of this key was interrupted:
+//!   its checkpoint segments replay, only the missing batches execute,
+//!   and the records are bit-identical to an uninterrupted run;
+//! * `archived run <id>` — the campaign executes, flushing checkpoint
+//!   segments while it runs, and is archived.
+//!
+//! An `--obs-jsonl` run replays only an archive that holds counters,
+//! and never resumes (segments retain records, not counter streams).
+//! Against an archive without counters it runs unstored and prints
+//! `measured run <id>`: the run ID already names that archive.
+//! External engines always execute and then archive: their bytes are
+//! not a function of the key, and they have no shard checkpoints.
 
 use charm_bench::cli::CommonArgs;
 use charm_bench::specload;
@@ -63,16 +69,18 @@ use charm_engine::registry::{self, ExternalEngineSpec, ResolvedTarget};
 use charm_engine::{Campaign, CampaignRun, ParallelTarget};
 use charm_obs::Observer;
 use charm_runner::ExternalTarget;
+use charm_store::{CampaignKey, Route, Store};
 use std::process::ExitCode;
 
 const USAGE_POSITIONAL: &str = "<plan.dsl> <platform>";
 
-/// Writes the artifacts and archives the run under its campaign key;
-/// shared by every mode.
+/// Writes the artifacts of a finished or replayed run and prints
+/// `archived`, the line saying what the store did with it; shared by
+/// every mode.
 fn finish_run(
     session: charm_bench::profile::Session,
     label: &str,
-    archive: Option<(&charm_store::Store, &charm_store::CampaignKey)>,
+    archived: Option<String>,
     run: &CampaignRun,
 ) -> ExitCode {
     let name = format!("campaign_{label}.csv");
@@ -82,19 +90,35 @@ fn finish_run(
         charm_bench::write_artifact(&name, &report.to_jsonl());
         session.attach_virtual(label, report);
     }
-    if let Some((store, key)) = archive {
-        let cli_args: Vec<String> = std::env::args().collect();
-        match store.put_run(key, label, &cli_args.join(" "), &run.data, run.report.as_ref()) {
-            Ok(id) => println!("archived run {id}"),
-            Err(e) => {
-                eprintln!("archive failed: {e}");
-                return ExitCode::from(specload::EXIT_TARGET);
-            }
-        }
+    if let Some(line) = archived {
+        println!("{line}");
     }
     println!("{} raw measurements retained", run.data.records.len());
     session.finish();
     ExitCode::SUCCESS
+}
+
+/// Archives an executed run under its key when a store is attached,
+/// returning the line to print: `<verb> run <id>`.
+fn archive(
+    stored: Option<(&Store, &CampaignKey, &str)>,
+    label: &str,
+    run: &CampaignRun,
+) -> Result<Option<String>, ExitCode> {
+    let Some((store, key, verb)) = stored else { return Ok(None) };
+    let cli_args: Vec<String> = std::env::args().collect();
+    match store.put_run(key, label, &cli_args.join(" "), &run.data, run.report.as_ref()) {
+        Ok(id) => Ok(Some(format!("{verb} run {id}"))),
+        Err(e) => {
+            eprintln!("archive failed: {e}");
+            Err(ExitCode::from(specload::EXIT_TARGET))
+        }
+    }
+}
+
+fn store_failed(e: charm_store::StoreError) -> ExitCode {
+    eprintln!("store error: {e}");
+    ExitCode::from(specload::EXIT_TARGET)
 }
 
 /// Spec mode: `--benchmark SPEC.toml`.
@@ -144,10 +168,6 @@ fn run_external(
         );
         return ExitCode::from(specload::EXIT_BAD_SPEC);
     }
-    if args.resume.is_some() {
-        eprintln!("--resume does not apply to external engines (no shard checkpoints)");
-        return ExitCode::from(specload::EXIT_BAD_SPEC);
-    }
     let label = spec.label.clone();
     let engine = match ExternalTarget::spawn(spec) {
         Ok(t) => t,
@@ -167,10 +187,11 @@ fn run_external(
     }
     match campaign.run() {
         Ok(run) => {
-            let archive = store.map(|store| {
-                (store, charm_store::CampaignKey::of(plan, &target_id, Some(args.seed), 1))
-            });
-            finish_run(session, &label, archive.as_ref().map(|(s, k)| (s, k)), &run)
+            let key = CampaignKey::of(plan, &target_id, Some(args.seed), 1);
+            match archive(store.as_ref().map(|s| (s, &key, "archived")), &label, &run) {
+                Ok(line) => finish_run(session, &label, line, &run),
+                Err(code) => code,
+            }
         }
         Err(e) => {
             eprintln!("campaign failed: {e}");
@@ -179,9 +200,9 @@ fn run_external(
     }
 }
 
-fn open_store(args: &CommonArgs) -> Result<Option<charm_store::Store>, ExitCode> {
+fn open_store(args: &CommonArgs) -> Result<Option<Store>, ExitCode> {
     match &args.store {
-        Some(dir) => charm_store::Store::open(dir).map(Some).map_err(|e| {
+        Some(dir) => Store::open(dir).map(Some).map_err(|e| {
             eprintln!("cannot open store: {e}");
             ExitCode::from(specload::EXIT_TARGET)
         }),
@@ -189,7 +210,10 @@ fn open_store(args: &CommonArgs) -> Result<Option<charm_store::Store>, ExitCode>
     }
 }
 
-/// The sharded path of an in-process target.
+/// The sharded path of an in-process target. With `--store`, the key
+/// routes through [`Store::route`]: an archived campaign replays, an
+/// interrupted one resumes (the engine replays the session's segments),
+/// and anything else executes.
 fn run_sharded_mode<T: ParallelTarget>(
     args: &CommonArgs,
     session: charm_bench::profile::Session,
@@ -199,63 +223,57 @@ fn run_sharded_mode<T: ParallelTarget>(
 ) -> ExitCode {
     let shards = args.shards.unwrap_or_else(|| Study::auto_shards(plan.len()));
     let label = target.name();
-
-    // Open the campaign store (and its checkpoint session for this
-    // run's identity) before executing, so shards flush as they finish.
+    let store = match open_store(args) {
+        Ok(s) => s,
+        Err(code) => return code,
+    };
     // The target's identity folds into the run ID, so the same plan
     // against two platforms can never share a run directory.
-    let store_ctx = match &args.store {
-        Some(_) => {
-            let store = match open_store(args) {
-                Ok(s) => s.expect("store flag present"),
-                Err(code) => return code,
-            };
-            let target_id = charm_store::target_identity(&target);
-            let key =
-                charm_store::CampaignKey::of(plan, &target_id, Some(args.seed), shards as u64);
-            let checkpoint = match store.open_session(key, plan.factor_names()) {
-                Ok(s) => s,
-                Err(e) => {
-                    eprintln!("cannot open checkpoint session: {e}");
-                    return ExitCode::from(specload::EXIT_TARGET);
-                }
-            };
-            if let Some(resume_id) = &args.resume {
-                if resume_id != checkpoint.run_id().as_str() {
-                    eprintln!(
-                        "--resume {resume_id} does not match this campaign: \
-                         plan/platform/seed/shards derive run {}",
-                        checkpoint.run_id()
-                    );
-                    return ExitCode::from(specload::EXIT_BAD_SPEC);
-                }
-                println!("resuming run {resume_id}");
+    let (mut stored, mut measured) = (None, None);
+    if let Some(store) = &store {
+        let target_id = charm_store::target_identity(&target);
+        let key = CampaignKey::of(plan, &target_id, Some(args.seed), shards as u64);
+        let verb = match store.route(&key, args.obs_jsonl) {
+            Ok(Route::Replay(id)) => {
+                return match store.get(&id) {
+                    Ok(run) => {
+                        let report = run.report.filter(|_| args.obs_jsonl);
+                        let run = CampaignRun { data: run.data, report };
+                        finish_run(session, &label, Some(format!("replayed run {id}")), &run)
+                    }
+                    Err(e) => store_failed(e),
+                };
             }
-            Some((store, checkpoint))
-        }
-        None => {
-            if args.resume.is_some() {
-                eprintln!("--resume requires --store DIR (the store holding the checkpoints)");
-                return ExitCode::from(specload::EXIT_BAD_SPEC);
+            Ok(Route::Measure(id)) => {
+                measured = Some(format!("measured run {id} (its archive holds no counters)"));
+                None
             }
-            None
+            Ok(Route::Resume) => Some("resumed"),
+            Ok(Route::Execute) => Some("archived"),
+            Err(e) => return store_failed(e),
+        };
+        if let Some(verb) = verb {
+            match store.open_session(key, plan.factor_names()) {
+                Ok(checkpoint) => stored = Some((store, checkpoint, verb)),
+                Err(e) => return store_failed(e),
+            }
         }
-    };
+    }
 
     let mut campaign = Campaign::new(plan, target).shards(shards).seed(shuffle_seed);
-    if let Some(min_rows) = args.min_rows_per_shard {
-        campaign = campaign.min_rows_per_shard(min_rows);
-    }
-    if let Some((_, checkpoint)) = &store_ctx {
-        campaign = campaign.store(checkpoint).resume(args.resume.is_some());
+    if let Some((_, checkpoint, _)) = &stored {
+        campaign = campaign.store(checkpoint);
     }
     if args.obs_jsonl {
         campaign = campaign.observer(Observer::default());
     }
     match campaign.run() {
         Ok(run) => {
-            let archive = store_ctx.as_ref().map(|(store, checkpoint)| (store, checkpoint.key()));
-            finish_run(session, &label, archive, &run)
+            let stored = stored.as_ref().map(|(s, checkpoint, verb)| (*s, checkpoint.key(), *verb));
+            match archive(stored, &label, &run) {
+                Ok(line) => finish_run(session, &label, line.or(measured), &run),
+                Err(code) => code,
+            }
         }
         Err(e) => {
             eprintln!("campaign failed: {e}");

@@ -7,10 +7,6 @@
 //! * `--shards N` — shard count for the shard-invariant experiments;
 //!   exported as `CHARM_SHARDS` so `Study::auto_shards` picks it up
 //!   everywhere downstream;
-//! * `--min-rows-per-shard N` — override the engine's worker floor (one
-//!   worker per N plan rows, default
-//!   [`charm_engine::DEFAULT_MIN_ROWS_PER_SHARD`]); `1` takes `--shards`
-//!   literally even for tiny plans (CI smoke runs use this);
 //! * `--out DIR` — results directory; exported as `CHARM_RESULTS_DIR`
 //!   so [`crate::results_dir`] honours it;
 //! * `--obs-jsonl` — also write observability reports (counters +
@@ -22,9 +18,9 @@
 //!   wall-time engine spans and virtual-time experiment events as two
 //!   separate process tracks (see `charm_trace::chrome`);
 //! * `--store DIR` — archive the campaign into a `charm_store` store at
-//!   `DIR`, flushing shard checkpoints as they complete;
-//! * `--resume RUN_ID` — with `--store`, replay the finished shards of
-//!   an interrupted run and execute only the missing ones;
+//!   `DIR`, flushing shard checkpoints as they complete; a campaign the
+//!   store already archives is replayed, and an interrupted one resumes
+//!   from its checkpoints (the run ID is derived, never given);
 //! * `--benchmark PATH` — run from a declarative benchmark spec
 //!   (`benchmarks/*.toml`, DESIGN.md §15) instead of built-in
 //!   plan-building;
@@ -42,8 +38,6 @@ pub struct CommonArgs {
     pub seed: u64,
     /// Shard count override (`--shards N`), when given.
     pub shards: Option<usize>,
-    /// Worker-floor override (`--min-rows-per-shard N`), when given.
-    pub min_rows_per_shard: Option<usize>,
     /// Whether to write observability JSONL artifacts (`--obs-jsonl`).
     pub obs_jsonl: bool,
     /// Whether to shrink plans for a smoke run (`--quick`).
@@ -55,8 +49,6 @@ pub struct CommonArgs {
     pub trace_out: Option<String>,
     /// Campaign store directory (`--store DIR`), when given.
     pub store: Option<String>,
-    /// Run ID to resume (`--resume RUN_ID`), when given.
-    pub resume: Option<String>,
     /// Benchmark spec file (`--benchmark PATH`), when given.
     pub benchmark: Option<String>,
     /// Spec parameter overrides (`--param NAME=VALUE`, repeatable).
@@ -103,13 +95,11 @@ impl CommonArgs {
         let mut args = CommonArgs {
             seed: default_seed,
             shards: None,
-            min_rows_per_shard: None,
             obs_jsonl: false,
             quick: false,
             profile: false,
             trace_out: None,
             store: None,
-            resume: None,
             benchmark: None,
             params: Vec::new(),
             rest: Vec::new(),
@@ -126,14 +116,6 @@ impl CommonArgs {
                         return Err(Exit::Error);
                     }
                     args.shards = Some(n);
-                }
-                "--min-rows-per-shard" => {
-                    let n: usize = value_of("--min-rows-per-shard", argv.next())?;
-                    if n == 0 {
-                        eprintln!("--min-rows-per-shard needs a positive integer");
-                        return Err(Exit::Error);
-                    }
-                    args.min_rows_per_shard = Some(n);
                 }
                 "--out" => match argv.next() {
                     Some(dir) => out_dir = Some(dir),
@@ -156,13 +138,6 @@ impl CommonArgs {
                     Some(dir) => args.store = Some(dir),
                     None => {
                         eprintln!("--store needs a directory");
-                        return Err(Exit::Error);
-                    }
-                },
-                "--resume" => match argv.next() {
-                    Some(id) => args.resume = Some(id),
-                    None => {
-                        eprintln!("--resume needs a run ID");
                         return Err(Exit::Error);
                     }
                 },
@@ -219,21 +194,20 @@ fn value_of<T: std::str::FromStr>(flag: &str, v: Option<String>) -> Result<T, Ex
 fn usage(bin: &str, extra: &str) -> String {
     let positional = if extra.is_empty() { String::new() } else { format!(" {extra}") };
     format!(
-        "usage: {bin}{positional} [--seed N] [--shards N] [--min-rows-per-shard N] [--out DIR]\n\
+        "usage: {bin}{positional} [--seed N] [--shards N] [--out DIR]\n\
          \x20               [--obs-jsonl] [--quick] [--profile] [--trace-out PATH]\n\
-         \x20               [--store DIR] [--resume RUN_ID]\n\
+         \x20               [--store DIR]\n\
          \x20               [--benchmark SPEC.toml] [--param NAME=VALUE]...\n\
          \n\
          --seed N        RNG seed (default CHARM_SEED or 20170529)\n\
          --shards N      shard count for shard-invariant campaigns (sets CHARM_SHARDS)\n\
-         --min-rows-per-shard N  worker floor: at most one worker per N plan rows (1 = off)\n\
          --out DIR       results directory (sets CHARM_RESULTS_DIR)\n\
          --obs-jsonl     also write observability reports as JSON Lines\n\
          --quick         reduced plans for smoke runs\n\
          --profile       print a wall-clock self-profile on exit\n\
          --trace-out PATH  write a dual-clock Chrome/Perfetto trace.json\n\
-         --store DIR     archive the campaign (with shard checkpoints) into a store\n\
-         --resume RUN_ID resume an interrupted stored run (requires --store)\n\
+         --store DIR     archive the campaign (with shard checkpoints) into a store;\n\
+         \x20               replay it if archived, resume it if interrupted\n\
          --benchmark SPEC.toml  run from a declarative benchmark spec (DESIGN.md par. 15)\n\
          --param NAME=VALUE  override a [params] entry of the spec (repeatable)"
     )
@@ -255,13 +229,11 @@ mod tests {
             CommonArgs {
                 seed: 7,
                 shards: None,
-                min_rows_per_shard: None,
                 obs_jsonl: false,
                 quick: false,
                 profile: false,
                 trace_out: None,
                 store: None,
-                resume: None,
                 benchmark: None,
                 params: vec![],
                 rest: vec![]
@@ -279,8 +251,6 @@ mod tests {
                 "42",
                 "--shards",
                 "4",
-                "--min-rows-per-shard",
-                "1",
                 "--out",
                 "/tmp/r",
                 "--obs-jsonl",
@@ -290,8 +260,6 @@ mod tests {
                 "/tmp/trace.json",
                 "--store",
                 "/tmp/store",
-                "--resume",
-                "0123456789abcdef0123456789abcdef",
                 "--benchmark",
                 "benchmarks/fig04.toml",
                 "--param",
@@ -305,13 +273,11 @@ mod tests {
         .unwrap();
         assert_eq!(args.seed, 42);
         assert_eq!(args.shards, Some(4));
-        assert_eq!(args.min_rows_per_shard, Some(1));
         assert!(args.obs_jsonl);
         assert!(args.quick);
         assert!(args.profile);
         assert_eq!(args.trace_out.as_deref(), Some("/tmp/trace.json"));
         assert_eq!(args.store.as_deref(), Some("/tmp/store"));
-        assert_eq!(args.resume.as_deref(), Some("0123456789abcdef0123456789abcdef"));
         assert_eq!(args.benchmark.as_deref(), Some("benchmarks/fig04.toml"));
         assert_eq!(
             args.params,
@@ -329,14 +295,14 @@ mod tests {
         assert_eq!(CommonArgs::try_parse(argv(&["--seed"]), 1), Err(Exit::Error));
         assert_eq!(CommonArgs::try_parse(argv(&["--seed", "abc"]), 1), Err(Exit::Error));
         assert_eq!(CommonArgs::try_parse(argv(&["--shards", "0"]), 1), Err(Exit::Error));
-        assert_eq!(
-            CommonArgs::try_parse(argv(&["--min-rows-per-shard", "0"]), 1),
-            Err(Exit::Error)
-        );
-        assert_eq!(CommonArgs::try_parse(argv(&["--min-rows-per-shard"]), 1), Err(Exit::Error));
         assert_eq!(CommonArgs::try_parse(argv(&["--trace-out"]), 1), Err(Exit::Error));
         assert_eq!(CommonArgs::try_parse(argv(&["--store"]), 1), Err(Exit::Error));
-        assert_eq!(CommonArgs::try_parse(argv(&["--resume"]), 1), Err(Exit::Error));
+        // The run ID and the batch geometry are derived, never asked for.
+        assert_eq!(CommonArgs::try_parse(argv(&["--resume", "0123"]), 1), Err(Exit::Error));
+        assert_eq!(
+            CommonArgs::try_parse(argv(&["--min-rows-per-shard", "1"]), 1),
+            Err(Exit::Error)
+        );
         assert_eq!(CommonArgs::try_parse(argv(&["--benchmark"]), 1), Err(Exit::Error));
         assert_eq!(CommonArgs::try_parse(argv(&["--param"]), 1), Err(Exit::Error));
         assert_eq!(CommonArgs::try_parse(argv(&["--param", "novalue"]), 1), Err(Exit::Error));
@@ -351,14 +317,12 @@ mod tests {
         for flag in [
             "--seed",
             "--shards",
-            "--min-rows-per-shard",
             "--out",
             "--obs-jsonl",
             "--quick",
             "--profile",
             "--trace-out",
             "--store",
-            "--resume",
             "--benchmark",
             "--param",
         ] {

@@ -16,7 +16,6 @@
 //! | [`fig13`] | Figure 13 — the cause-and-effect factor diagram |
 //! | [`convolution`] | Figure 1's use-case — prediction error of opaque- vs white-box-instantiated models |
 
-pub mod catalog;
 pub mod convolution;
 pub mod fig03;
 pub mod fig04;

@@ -47,7 +47,6 @@ pub mod target;
 
 pub use campaign::{
     batch_bounds, batch_count, effective_workers, Campaign, CampaignRun, ShardedCampaign,
-    DEFAULT_MIN_ROWS_PER_SHARD,
 };
 pub use cancel::CancelToken;
 pub use checkpoint::{CheckpointError, CheckpointSink, ShardCheckpoint};

@@ -130,7 +130,6 @@ proptest! {
             .unwrap();
         let many = charm_engine::Campaign::new(&plan, base.fork(base.stream_seed()))
             .shards(shards)
-            .min_rows_per_shard(1)
             .seed(seed)
             .observer(Observer::default())
             .run()
@@ -217,7 +216,6 @@ proptest! {
             for k in [1usize, shards] {
                 let got = charm_engine::Campaign::new(&plan, mem_target(seed, cache_capacity))
                     .shards(k)
-                    .min_rows_per_shard(1)
                     .seed(seed)
                     .run()
                     .unwrap()
@@ -288,12 +286,11 @@ proptest! {
         let distinct: std::collections::HashSet<i64> = sizes.iter().copied().collect();
         let plan = plan_of(distinct.into_iter().collect(), reps, Some(seed));
         let base = NetworkTarget::new("m", presets::myrinet_gm(seed));
-        let workers = effective_workers(plan.len(), shards, 1);
-        let nbatches = batch_count(plan.len(), workers, 1);
+        let workers = effective_workers(plan.len(), shards);
+        let nbatches = batch_count(plan.len(), workers);
 
         let uninterrupted = charm_engine::Campaign::new(&plan, base.fork(base.stream_seed()))
             .shards(shards)
-            .min_rows_per_shard(1)
             .seed(seed)
             .run()
             .unwrap()
@@ -302,7 +299,6 @@ proptest! {
         let sink = MemorySink::new();
         let first = charm_engine::Campaign::new(&plan, base.fork(base.stream_seed()))
             .shards(shards)
-            .min_rows_per_shard(1)
             .seed(seed)
             .store(&sink)
             .run()
@@ -318,10 +314,8 @@ proptest! {
         }
         let resumed = charm_engine::Campaign::new(&plan, base.fork(base.stream_seed()))
             .shards(shards)
-            .min_rows_per_shard(1)
             .seed(seed)
             .store(&sink)
-            .resume(true)
             .run()
             .unwrap()
             .data;
@@ -372,7 +366,6 @@ proptest! {
         let base = NetworkTarget::new("m", presets::myrinet_gm(seed));
         let c = charm_engine::Campaign::new(&plan, base.fork(base.stream_seed()))
             .shards(shards)
-            .min_rows_per_shard(1)
             .seed(seed)
             .run()
             .unwrap()
@@ -396,7 +389,6 @@ proptest! {
         let base = NetworkTarget::new("m", presets::myrinet_gm(seed));
         let c = charm_engine::Campaign::new(&plan, base.fork(base.stream_seed()))
             .shards(shards)
-            .min_rows_per_shard(1)
             .seed(seed)
             .run()
             .unwrap()
@@ -431,7 +423,6 @@ proptest! {
         let sink = MemorySink::new();
         let merged = charm_engine::Campaign::new(&plan, base.fork(base.stream_seed()))
             .shards(shards)
-            .min_rows_per_shard(1)
             .seed(seed)
             .store(&sink)
             .run()
@@ -456,18 +447,16 @@ proptest! {
         prop_assert_eq!(next_seq as usize, merged.records.len());
     }
 
-    /// Adaptive scheduler geometry: for any (rows, workers, floor) the
-    /// batch bounds partition `0..rows` contiguously, shrink
-    /// monotonically along the claim order, keep every non-final batch
-    /// at or above the floor, and agree with `batch_count`.
+    /// Adaptive scheduler geometry: for any (rows, workers) the batch
+    /// bounds partition `0..rows` contiguously, shrink monotonically
+    /// along the claim order, keep every non-final batch at or above
+    /// the floor (1/8 of a worker's static share, at least one row),
+    /// and agree with `batch_count`.
     #[test]
-    fn batch_bounds_partition_any_geometry(
-        rows in 0usize..4000,
-        workers in 1usize..9,
-        floor in 1usize..300,
-    ) {
-        let bounds = batch_bounds(rows, workers, floor);
-        prop_assert_eq!(bounds.len(), batch_count(rows, workers, floor));
+    fn batch_bounds_partition_any_geometry(rows in 0usize..4000, workers in 1usize..9) {
+        let floor = (rows / (workers * 8)).max(1);
+        let bounds = batch_bounds(rows, workers);
+        prop_assert_eq!(bounds.len(), batch_count(rows, workers));
         prop_assert_eq!(bounds[0].0, 0);
         prop_assert_eq!(bounds.last().unwrap().1, rows);
         for w in bounds.windows(2) {

@@ -11,8 +11,10 @@
 //! Three properties carry the design (DESIGN.md §17):
 //!
 //! * **Dedupe is free and honest.** Submissions are content-addressed
-//!   exactly like `run_campaign` runs, so an identical resubmission
-//!   streams the archived records byte-for-byte with zero engine work.
+//!   exactly like `run_campaign` runs and routed by the same rule
+//!   (`charm_store::Store::route`), so an identical resubmission — or a
+//!   key `run_campaign --store` archived — streams the archived records
+//!   byte-for-byte with zero engine work.
 //! * **Interruption is cheap.** Every job writes checkpoint segments
 //!   through the shared store; a daemon crash (or cooperative cancel)
 //!   loses at most the in-flight batches, and the same submission later
@@ -37,4 +39,4 @@ mod submit;
 
 pub use client::{Client, Drained};
 pub use metrics::{Metrics, Quotas};
-pub use server::{Server, ServerConfig};
+pub use server::{Server, ServerConfig, MAX_LINE_BYTES};

@@ -2,11 +2,14 @@
 //!
 //! Line-oriented JSONL over TCP in the restricted dialect of
 //! [`charm_obs::json`] — strings, numbers, and string-keyed objects
-//! only, one object per line. A connection opens with a versioned
-//! `hello` exchange; after that the client issues requests (`submit`,
-//! `status`, `cancel`, `result`) and the server answers each with one
-//! response object or, for campaign streams, a sequence of `head` /
-//! `record` / `counter` lines closed by a terminal `done` or `failed`.
+//! only, one object per line. A request line holds at most
+//! [`MAX_LINE_BYTES`](crate::MAX_LINE_BYTES); a longer one gets an
+//! `error` and closes its connection. A connection opens with a
+//! versioned `hello` exchange; after that the client issues requests
+//! (`submit`, `status`, `cancel`, `result`) and the server answers each
+//! with one response object or, for campaign streams, a sequence of
+//! `head` / `record` / `counter` lines closed by a terminal `done` or
+//! `failed`.
 //!
 //! Both directions are implemented here — [`Request`] is what clients
 //! send, [`Event`] what servers send — with symmetric `render`/`parse`

@@ -30,9 +30,9 @@ use crate::submit::{self, Prepared, ServedTarget};
 use charm_design::ExperimentPlan;
 use charm_engine::{Campaign, CampaignRun, CancelToken, ParallelTarget, TargetError};
 use charm_obs::Observer;
-use charm_store::{CampaignKey, CheckpointSession, RunId, Store, StoreError};
+use charm_store::{CampaignKey, CheckpointSession, Route, RunId, Store, StoreError};
 use std::collections::{BTreeMap, VecDeque};
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -40,6 +40,11 @@ use std::sync::mpsc::{channel, Sender};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
+
+/// The longest request line the server reads, handshake included, in
+/// bytes. A plan travels inside its `submit` line; 1 MiB holds any
+/// realistic plan and bounds what one client can make the server buffer.
+pub const MAX_LINE_BYTES: u64 = 1 << 20;
 
 /// Server tunables. `Default` is sized for tests and small hosts.
 #[derive(Debug, Clone)]
@@ -92,7 +97,8 @@ struct Job {
     shuffle_seed: Option<u64>,
     shards: u64,
     observe: bool,
-    resume: bool,
+    /// How the store routed the key: `Resume`, `Execute` or `Measure`.
+    route: Route,
     session: CheckpointSession,
     cancel: CancelToken,
     tx: Sender<Event>,
@@ -328,16 +334,38 @@ fn send(writer: &mut TcpStream, event: &Event) -> bool {
     writer.write_all(line.as_bytes()).is_ok()
 }
 
+/// Reads one request line of at most [`MAX_LINE_BYTES`], without its
+/// line ending. `Ok(None)` means the client is gone (end of stream, a
+/// read error or a line that is not UTF-8); `Err` names an over-long
+/// line, after which the rest of the stream cannot be framed.
+fn read_line(reader: &mut impl BufRead) -> Result<Option<String>, String> {
+    let mut buf = Vec::new();
+    match reader.take(MAX_LINE_BYTES + 1).read_until(b'\n', &mut buf) {
+        Ok(0) | Err(_) => return Ok(None),
+        Ok(_) => {}
+    }
+    if buf.last() == Some(&b'\n') {
+        buf.pop();
+        if buf.last() == Some(&b'\r') {
+            buf.pop();
+        }
+    } else if buf.len() as u64 > MAX_LINE_BYTES {
+        return Err(format!("request line longer than {MAX_LINE_BYTES} bytes"));
+    }
+    Ok(String::from_utf8(buf).ok())
+}
+
 fn connection(shared: &Shared, stream: TcpStream) {
     shared.metrics.bump("serve.connections", 1);
     let Ok(read_half) = stream.try_clone() else { return };
     let mut writer = stream;
-    let mut lines = BufReader::new(read_half).lines();
+    let mut reader = BufReader::new(read_half);
 
     // Versioned handshake first: anything else on the first line is a
-    // protocol error and the connection closes.
-    let tenant = match lines.next() {
-        Some(Ok(first)) => match Request::parse(&first) {
+    // protocol error and the connection closes. So does an over-long
+    // line, here or later.
+    let tenant = match read_line(&mut reader) {
+        Ok(Some(first)) => match Request::parse(&first) {
             Ok(Request::Hello { proto, tenant }) if proto == PROTOCOL => {
                 let hello = Event::Hello {
                     proto: PROTOCOL.to_string(),
@@ -365,11 +393,22 @@ fn connection(shared: &Shared, stream: TcpStream) {
                 return;
             }
         },
-        _ => return,
+        Ok(None) => return,
+        Err(detail) => {
+            send(&mut writer, &Event::Error { detail });
+            return;
+        }
     };
 
-    for line in lines {
-        let Ok(line) = line else { break };
+    loop {
+        let line = match read_line(&mut reader) {
+            Ok(Some(line)) => line,
+            Ok(None) => break,
+            Err(detail) => {
+                send(&mut writer, &Event::Error { detail });
+                break;
+            }
+        };
         if line.trim().is_empty() {
             continue;
         }
@@ -457,13 +496,14 @@ fn handle_submit(
     // Dedupe: an archived run for this exact (plan, target, seed,
     // shards) streams from the store — no quota charge, no queue slot,
     // no engine work.
-    match shared.store.manifest(&run_id) {
-        Ok(manifest) if key.matches(&manifest) => {
+    let route = match shared.store.route(&key, observe) {
+        Ok(Route::Replay(id)) => {
             shared.metrics.bump("serve.dedup_hits", 1);
             let job = next_job_id(shared);
-            return stream_archive(shared, writer, &job, &run_id, false);
+            return stream_archive(shared, writer, &job, &id, false);
         }
-        Ok(_) => {
+        Ok(route) => route,
+        Err(StoreError::Collision { .. }) => {
             // A truncated-hash collision: the directory archives a
             // different campaign. Refuse rather than re-derive.
             return reject(
@@ -474,11 +514,10 @@ fn handle_submit(
                 format!("run id {run_id} collides with a different archived campaign"),
             );
         }
-        Err(StoreError::NotFound { .. }) => {}
         Err(e) => {
             return send(writer, &Event::Error { detail: format!("store error: {e}") });
         }
-    }
+    };
 
     // Quotas, then the bounded queue; a lost race to the queue rolls
     // the quota charge back.
@@ -497,9 +536,8 @@ fn handle_submit(
         return reject(shared, writer, tenant, reason, detail);
     }
 
-    // The checkpoint session decides resume-vs-fresh and is the sink
-    // the engine streams through. Opening it also guards against
-    // truncated-ID collisions in the checkpoint trail.
+    // The checkpoint session is the sink the engine streams through
+    // (and, for an unobserved run, replays stored segments from).
     let session = match shared.store.open_session(key, plan.factor_names()) {
         Ok(s) => s,
         Err(e) => {
@@ -507,10 +545,8 @@ fn handle_submit(
             return send(writer, &Event::Error { detail: format!("store error: {e}") });
         }
     };
-    // Observed runs never resume: checkpoints retain records, not
-    // counter streams, and the engine refuses the combination.
-    let resume = !observe && session.has_segments();
 
+    let source = if route == Route::Resume { Source::Resume } else { Source::Engine };
     let job_id = next_job_id(shared);
     let cancel = CancelToken::new();
     let (tx, rx) = channel();
@@ -523,7 +559,7 @@ fn handle_submit(
         shuffle_seed,
         shards,
         observe,
-        resume,
+        route,
         session,
         cancel: cancel.clone(),
         tx,
@@ -542,7 +578,6 @@ fn handle_submit(
             format!("admission queue is at capacity ({})", shared.config.queue),
         );
     }
-    let source = if resume { Source::Resume } else { Source::Engine };
     let accepted =
         Event::Accepted { job: job_id.clone(), run_id: run_id.to_string(), source, rows };
     let mut connected =
@@ -649,7 +684,7 @@ fn execute_job(shared: &Shared, job: Job) {
         return;
     }
     shared.metrics.bump("serve.jobs_executed", 1);
-    if job.resume {
+    if job.route == Route::Resume {
         shared.metrics.bump("serve.jobs_resumed", 1);
     }
     let sink = StreamSink::new(&job.session, &job.id, job.tx.clone());
@@ -660,13 +695,18 @@ fn execute_job(shared: &Shared, job: Job) {
     let streamed = sink.streamed();
     match result {
         Ok(run) => {
-            let archived = shared.store.put_run(
-                job.session.key(),
-                &job.label,
-                "charm_serve_d",
-                &run.data,
-                run.report.as_ref(),
-            );
+            let archived = match &job.route {
+                // The run ID already names an archive, one without the
+                // counters this observed job measured.
+                Route::Measure(id) => Ok(id.clone()),
+                _ => shared.store.put_run(
+                    job.session.key(),
+                    &job.label,
+                    "charm_serve_d",
+                    &run.data,
+                    run.report.as_ref(),
+                ),
+            };
             finish(shared, &job);
             match archived {
                 Ok(id) => {
@@ -680,7 +720,8 @@ fn execute_job(shared: &Shared, job: Job) {
                             });
                         }
                     }
-                    let source = if job.resume { Source::Resume } else { Source::Engine };
+                    let source =
+                        if job.route == Route::Resume { Source::Resume } else { Source::Engine };
                     let _ = job.tx.send(Event::Done {
                         job: job.id.clone(),
                         run_id: id.to_string(),
@@ -725,9 +766,10 @@ fn finish(shared: &Shared, job: &Job) {
 }
 
 /// Runs one job's campaign on the work-stealing engine, streaming
-/// through `sink`. `min_rows_per_shard(1)` takes the requested shard
-/// count literally, so the run's geometry — and therefore its metadata
-/// and run ID — is exactly what the submission asked for. The engine
+/// through `sink`. The engine takes the requested shard count
+/// literally, so the run's geometry — and therefore its metadata and
+/// run ID — is exactly what the submission asked for, and it replays
+/// the session's stored segments unless the job is observed. The engine
 /// only ever forks its base target, so handing it a fork of the job's
 /// target on the same stream seed runs exactly that target.
 fn run_sharded<T: ParallelTarget>(
@@ -740,9 +782,7 @@ fn run_sharded<T: ParallelTarget>(
         .shards(job.shards as usize)
         .seed(job.shuffle_seed)
         .cancel_token(job.cancel.clone())
-        .min_rows_per_shard(1)
-        .store(sink)
-        .resume(job.resume);
+        .store(sink);
     if job.observe {
         sharded = sharded.observer(Observer::default());
     }

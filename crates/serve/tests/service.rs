@@ -9,7 +9,7 @@
 //! pass on a single loaded core and on a fast idle machine alike.
 
 use charm_serve::protocol::{Event, PlanKind, RejectReason, Source};
-use charm_serve::{Client, Server, ServerConfig};
+use charm_serve::{Client, Server, ServerConfig, MAX_LINE_BYTES};
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
@@ -64,11 +64,9 @@ fn direct_csv(plan_text: &str, platform: &str, seed: u64, shards: u64) -> String
     let plan = charm_design::dsl::compile(plan_text).unwrap();
     let spec = charm_engine::TargetSpec::Network { preset: platform.into(), label: None };
     let run = match charm_engine::registry::resolve(&spec, seed).unwrap() {
-        charm_engine::ResolvedTarget::Network(t) => charm_engine::Campaign::new(&plan, *t)
-            .shards(shards as usize)
-            .min_rows_per_shard(1)
-            .run()
-            .unwrap(),
+        charm_engine::ResolvedTarget::Network(t) => {
+            charm_engine::Campaign::new(&plan, *t).shards(shards as usize).run().unwrap()
+        }
         other => panic!("unexpected target {other:?}"),
     };
     run.data.to_csv()
@@ -100,6 +98,51 @@ fn handshake_is_versioned() {
     }
     // A well-versioned hello on a fresh connection succeeds.
     let _ = Client::connect(&addr, "x").unwrap();
+    server.shutdown();
+}
+
+/// A request line over [`MAX_LINE_BYTES`] — the handshake included —
+/// gets an `error` and closes its connection; a line at the limit is
+/// framed normally, and every other connection is still served.
+#[test]
+fn over_long_request_lines_close_only_their_connection() {
+    use std::io::{BufRead, BufReader, Write};
+    let (_scratch, server, addr) = start("longline", |_| {});
+    let mut steady = Client::connect(&addr, "t1").unwrap();
+    let limit = MAX_LINE_BYTES as usize;
+    let next_event = |reader: &mut BufReader<std::net::TcpStream>| {
+        let mut line = String::new();
+        reader.read_line(&mut line).unwrap();
+        Event::parse(line.trim_end()).unwrap()
+    };
+    for greet in [false, true] {
+        let mut stream = std::net::TcpStream::connect(&addr).unwrap();
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        if greet {
+            stream
+                .write_all(
+                    b"{\"type\": \"hello\", \"proto\": \"charm-serve/1\", \"tenant\": \"x\"}\n",
+                )
+                .unwrap();
+            assert!(matches!(next_event(&mut reader), Event::Hello { .. }));
+            // A line at the limit is read whole: one parse error, and
+            // the connection stays open.
+            let mut at_limit = vec![b'x'; limit];
+            at_limit.push(b'\n');
+            stream.write_all(&at_limit).unwrap();
+            assert!(matches!(next_event(&mut reader), Event::Error { .. }));
+        }
+        stream.write_all(&vec![b'x'; limit + 1]).unwrap();
+        match next_event(&mut reader) {
+            Event::Error { detail } => assert!(detail.contains("longer than"), "{detail}"),
+            other => panic!("expected error, got {other:?}"),
+        }
+        let mut rest = String::new();
+        assert_eq!(reader.read_line(&mut rest).unwrap(), 0, "the connection closes");
+    }
+    let run = steady.run(PlanKind::Dsl, SMALL_PLAN, "taurus", 5, 2, false).unwrap().unwrap();
+    assert!(matches!(run.terminal, Event::Done { .. }), "{:?}", run.terminal);
+    assert!(Client::connect(&addr, "t2").unwrap().status().is_ok());
     server.shutdown();
 }
 
@@ -347,6 +390,37 @@ fn status_and_result_replay() {
         other => panic!("expected an error event: {other:?}"),
     }
     let _ = c.status().unwrap();
+    server.shutdown();
+}
+
+/// An observed submission replays only an archive that holds counters:
+/// against an archive without them it is measured and archives nothing
+/// (the run ID already names that archive), so the archive keeps its
+/// bytes.
+#[test]
+fn observed_submissions_replay_only_archives_with_counters() {
+    let (scratch, server, addr) = start("observe_route", |_| {});
+    let mut c = Client::connect(&addr, "t1").unwrap();
+    let plain = c.run(PlanKind::Dsl, SMALL_PLAN, "taurus", 7, 2, false).unwrap().unwrap();
+    let Event::Done { run_id, source: Source::Engine, .. } = &plain.terminal else {
+        panic!("fresh run should execute: {:?}", plain.terminal);
+    };
+    let run_dir = scratch.path().join("runs").join(run_id);
+    let archived = std::fs::read(run_dir.join("records.csv")).unwrap();
+    let observed = c.run(PlanKind::Dsl, SMALL_PLAN, "taurus", 7, 2, true).unwrap().unwrap();
+    let Event::Done { run_id: id2, source: Source::Engine, .. } = &observed.terminal else {
+        panic!("an archive without counters cannot answer an observed request");
+    };
+    assert_eq!(id2, run_id);
+    assert!(!observed.counters.is_empty());
+    assert_eq!(std::fs::read(run_dir.join("records.csv")).unwrap(), archived);
+    assert!(!run_dir.join("report.jsonl").exists(), "the archive keeps its bytes");
+
+    let first = c.run(PlanKind::Dsl, SMALL_PLAN, "taurus", 8, 2, true).unwrap().unwrap();
+    assert!(matches!(&first.terminal, Event::Done { source: Source::Engine, .. }));
+    let again = c.run(PlanKind::Dsl, SMALL_PLAN, "taurus", 8, 2, true).unwrap().unwrap();
+    assert!(matches!(&again.terminal, Event::Done { source: Source::Archive, .. }));
+    assert_eq!(again.counters, first.counters, "the archived counters replay");
     server.shutdown();
 }
 

@@ -12,10 +12,10 @@
 //! * [`manifest`] — the `manifest.json` format: plan hash, seed, shard
 //!   count, crate versions, CLI args, and a digest for every artifact
 //!   in the run directory;
-//! * [`store`] — [`Store`]: `open` / `put_run` / `get` / `list` / `gc`,
-//!   plus [`CheckpointSession`], the [`CheckpointSink`] the engine's
-//!   `Campaign::store` builder hook writes shard segments through (and
-//!   `Campaign::resume` replays from);
+//! * [`store`] — [`Store`]: `open` / `route` / `put_run` / `get` /
+//!   `list` / `gc`, plus [`CheckpointSession`], the [`CheckpointSink`]
+//!   the engine's `Campaign::store` builder hook writes shard segments
+//!   through and an unobserved run replays them from;
 //! * [`diff`] — [`RunDiff`]: two runs aligned by design cell, with
 //!   metadata drift, per-cell count/mean/median shifts, and a
 //!   bit-exactness verdict;
@@ -32,6 +32,11 @@
 //! including the same plan run against two platforms — can never
 //! silently collide; the manifest stores the full quadruple and every
 //! operation cross-checks it.
+//!
+//! One run ID names one archive. [`Store::route`] is the dedupe rule
+//! both front doors (`run_campaign --store` and `charm-serve`) apply to
+//! a key before running anything: replay the archived run, resume an
+//! interrupted one from its checkpoint segments, or execute it.
 //!
 //! Like the obs and trace layers, the store is zero-cost when unused: a
 //! campaign that never calls `.store(...)` touches no filesystem path
@@ -52,6 +57,6 @@ pub use diff::{diff_runs, CellDiff, MetadataDrift, RunDiff};
 pub use manifest::{Artifact, MachineFacts, Manifest, MANIFEST_FORMAT};
 pub use report::{build_report, FleetReport, GroupReport, RankedRun, ReportRow, VsBest};
 pub use store::{
-    target_identity, CampaignKey, CheckpointSession, GcReport, RunId, RunQuery, Store, StoreError,
-    StoredRun,
+    target_identity, CampaignKey, CheckpointSession, GcReport, Route, RunId, RunQuery, Store,
+    StoreError, StoredRun,
 };

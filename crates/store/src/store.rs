@@ -295,6 +295,26 @@ impl RunQuery {
     }
 }
 
+/// What a front door does with a campaign key; see [`Store::route`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Route {
+    /// The store archives this campaign: read it back with
+    /// [`Store::get`]. Nothing runs and nothing is written.
+    Replay(RunId),
+    /// Segments of an interrupted run of this key are stored: run it
+    /// through [`Store::open_session`], and the engine replays them and
+    /// measures only the missing batches.
+    Resume,
+    /// Nothing reusable is stored: run it through [`Store::open_session`]
+    /// from row zero.
+    Execute,
+    /// The store archives this campaign without the counters an observed
+    /// request asks for: measure it observed, and archive nothing — the
+    /// run ID already names an archive, and the observed run's records
+    /// carry the `observed` marker that archive lacks.
+    Measure(RunId),
+}
+
 /// A content-addressed archive of campaign runs rooted at a directory.
 #[derive(Debug, Clone)]
 pub struct Store {
@@ -317,6 +337,32 @@ impl Store {
 
     fn run_dir(&self, id: &RunId) -> PathBuf {
         self.root.join("runs").join(id.as_str())
+    }
+
+    /// The one dedupe rule every front door (`run_campaign --store`,
+    /// `charm-serve`) applies before running a campaign: replay the
+    /// archived run of `key`, resume its interrupted run, or execute it.
+    /// An `observe`d request replays only an archive that holds the
+    /// counters (`report.jsonl`), is measured unarchived when the
+    /// archive lacks them, and never resumes, because checkpoint
+    /// segments retain records, not counter streams. A run directory
+    /// holding a different campaign is a [`StoreError::Collision`].
+    /// Writes nothing.
+    pub fn route(&self, key: &CampaignKey, observe: bool) -> Result<Route, StoreError> {
+        let id = key.run_id();
+        if let Some(manifest) = self.try_manifest(&id)? {
+            if !key.matches(&manifest) {
+                return Err(collision(&id, &manifest, key));
+            }
+            if !observe || manifest.artifact("report.jsonl").is_some() {
+                return Ok(Route::Replay(id));
+            }
+            return Ok(Route::Measure(id));
+        }
+        let segments = fs::read_dir(self.run_dir(&id).join("checkpoints")).ok().is_some_and(|d| {
+            d.filter_map(|e| e.ok()).any(|e| e.file_name().to_string_lossy().ends_with(".csv"))
+        });
+        Ok(if segments && !observe { Route::Resume } else { Route::Execute })
     }
 
     /// Opens a checkpoint session for a campaign about to run: the
@@ -702,7 +748,7 @@ fn records_body(factor_names: &[String], records: &[RawRecord]) -> String {
 }
 
 /// The checkpoint sink for one campaign's run directory: what
-/// `Campaign::store` writes through and `Campaign::resume` reads from.
+/// `Campaign::store` writes through and, on resume, reads from.
 /// Segments are mini campaign CSVs carrying their own provenance
 /// (`plan_hash`, target identity, geometry, shard clock, records
 /// digest) so a stale, foreign or tampered segment is rejected rather
@@ -725,19 +771,6 @@ impl CheckpointSession {
     /// [`Store::put_run`] archives the finished campaign under.
     pub fn key(&self) -> &CampaignKey {
         &self.key
-    }
-
-    /// Whether this run directory holds any checkpoint segments — i.e.
-    /// an earlier campaign for the same key was interrupted mid-run. A
-    /// restarted service uses this to decide whether a submission should
-    /// resume (`Campaign::resume`) instead of starting from row zero.
-    pub fn has_segments(&self) -> bool {
-        let checkpoints = self.dir.join("checkpoints");
-        fs::read_dir(&checkpoints).ok().is_some_and(|entries| {
-            entries
-                .filter_map(|e| e.ok())
-                .any(|e| e.file_name().to_string_lossy().ends_with(".csv"))
-        })
     }
 
     fn segment_path(&self, shard: usize, shards: usize) -> PathBuf {

@@ -10,7 +10,7 @@ use charm_engine::target::NetworkTarget;
 use charm_engine::{Campaign, CampaignData};
 use charm_obs::Observer;
 use charm_simnet::presets;
-use charm_store::{RunId, Store, StoreError};
+use charm_store::{Route, RunId, Store, StoreError};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -44,18 +44,15 @@ fn plan_of(seed: u64) -> ExperimentPlan {
     plan
 }
 
-// The 18-row test plans sit under the engine's default 64-row floor, so
-// every sharded build here opts out of the clamp with
-// `.min_rows_per_shard(1)` to exercise the real parallel path.
 // Checkpoint filenames carry the batch geometry; tests compute it with
 // `charm_engine::batch_count` instead of hardcoding it.
 fn batches_of(plan: &ExperimentPlan, shards: usize) -> usize {
-    charm_engine::batch_count(plan.len(), charm_engine::effective_workers(plan.len(), shards, 1), 1)
+    charm_engine::batch_count(plan.len(), charm_engine::effective_workers(plan.len(), shards))
 }
 
 fn run_campaign(plan: &ExperimentPlan, seed: u64, shards: usize) -> CampaignData {
     let target = NetworkTarget::new("taurus", presets::taurus_openmpi_tcp(seed));
-    Campaign::new(plan, target).shards(shards).min_rows_per_shard(1).seed(seed).run().unwrap().data
+    Campaign::new(plan, target).shards(shards).seed(seed).run().unwrap().data
 }
 
 #[test]
@@ -157,6 +154,11 @@ fn edited_manifest_triple_is_a_collision_not_a_merge() {
         Err(StoreError::Collision { .. }) => {}
         other => panic!("expected Collision, got {other:?}"),
     }
+    // The front doors' dedupe rule refuses it too, rather than replaying.
+    match store.route(&key_of(&plan, 17, 2), false) {
+        Err(StoreError::Collision { .. }) => {}
+        other => panic!("expected Collision, got {other:?}"),
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -182,13 +184,7 @@ fn checkpointed_run_through_real_store_resumes_bit_identical() {
     // the campaign had died before finishing it.
     let session = store.session(&plan, TARGET, Some(23), 3).unwrap();
     let target = NetworkTarget::new("taurus", presets::taurus_openmpi_tcp(23));
-    Campaign::new(&plan, target)
-        .shards(3)
-        .min_rows_per_shard(1)
-        .seed(23)
-        .store(&session)
-        .run()
-        .unwrap();
+    Campaign::new(&plan, target).shards(3).seed(23).store(&session).run().unwrap();
     let segment = dir
         .join("runs")
         .join(session.run_id().as_str())
@@ -198,15 +194,8 @@ fn checkpointed_run_through_real_store_resumes_bit_identical() {
     std::fs::remove_file(&segment).unwrap();
 
     let target = NetworkTarget::new("taurus", presets::taurus_openmpi_tcp(23));
-    let resumed = Campaign::new(&plan, target)
-        .shards(3)
-        .min_rows_per_shard(1)
-        .seed(23)
-        .store(&session)
-        .resume(true)
-        .run()
-        .unwrap()
-        .data;
+    let resumed =
+        Campaign::new(&plan, target).shards(3).seed(23).store(&session).run().unwrap().data;
     // Byte-identical CSVs: the strongest form of "same campaign".
     assert_eq!(fresh.to_csv(), resumed.to_csv());
     std::fs::remove_dir_all(&dir).ok();
@@ -221,27 +210,14 @@ fn gc_purges_spent_checkpoints_but_keeps_resumable_runs() {
     let plan = plan_of(29);
     let session = store.session(&plan, TARGET, Some(29), 2).unwrap();
     let target = NetworkTarget::new("taurus", presets::taurus_openmpi_tcp(29));
-    let data = Campaign::new(&plan, target)
-        .shards(2)
-        .min_rows_per_shard(1)
-        .seed(29)
-        .store(&session)
-        .run()
-        .unwrap()
-        .data;
+    let data = Campaign::new(&plan, target).shards(2).seed(29).store(&session).run().unwrap().data;
     let finalized = store.put_run(&key_of(&plan, 29, 2), "bench", "", &data, None).unwrap();
 
     // Interrupted run: checkpoints only, no manifest — must survive gc.
     let plan2 = plan_of(31);
     let session2 = store.session(&plan2, TARGET, Some(31), 2).unwrap();
     let target = NetworkTarget::new("taurus", presets::taurus_openmpi_tcp(31));
-    Campaign::new(&plan2, target)
-        .shards(2)
-        .min_rows_per_shard(1)
-        .seed(31)
-        .store(&session2)
-        .run()
-        .unwrap();
+    Campaign::new(&plan2, target).shards(2).seed(31).store(&session2).run().unwrap();
     let interrupted_dir = dir.join("runs").join(session2.run_id().as_str());
 
     let report = store.gc().unwrap();
@@ -338,13 +314,7 @@ fn foreign_platform_segment_is_rejected_on_resume() {
     // Checkpoint a run under target identity A.
     let session_a = store.session(&plan, "taurus#aaaaaaaaaaaa", Some(47), 2).unwrap();
     let target = NetworkTarget::new("taurus", presets::taurus_openmpi_tcp(47));
-    Campaign::new(&plan, target)
-        .shards(2)
-        .min_rows_per_shard(1)
-        .seed(47)
-        .store(&session_a)
-        .run()
-        .unwrap();
+    Campaign::new(&plan, target).shards(2).seed(47).store(&session_a).run().unwrap();
 
     // Hand-move its segments into the directory a different platform's
     // campaign addresses (what a truncated-ID collision would look
@@ -361,14 +331,7 @@ fn foreign_platform_segment_is_rejected_on_resume() {
         .unwrap();
     }
     let target = NetworkTarget::new("taurus", presets::taurus_openmpi_tcp(47));
-    let err = Campaign::new(&plan, target)
-        .shards(2)
-        .min_rows_per_shard(1)
-        .seed(47)
-        .store(&session_b)
-        .resume(true)
-        .run()
-        .unwrap_err();
+    let err = Campaign::new(&plan, target).shards(2).seed(47).store(&session_b).run().unwrap_err();
     assert!(err.to_string().contains("different target"), "{err}");
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -380,13 +343,7 @@ fn tampered_segment_value_is_rejected_on_resume() {
     let plan = plan_of(53);
     let session = store.session(&plan, TARGET, Some(53), 2).unwrap();
     let target = NetworkTarget::new("taurus", presets::taurus_openmpi_tcp(53));
-    Campaign::new(&plan, target)
-        .shards(2)
-        .min_rows_per_shard(1)
-        .seed(53)
-        .store(&session)
-        .run()
-        .unwrap();
+    Campaign::new(&plan, target).shards(2).seed(53).store(&session).run().unwrap();
 
     // Hand-edit one measured value in a segment: still a parseable CSV,
     // but the records no longer match the digest stamped at save time.
@@ -403,14 +360,7 @@ fn tampered_segment_value_is_rejected_on_resume() {
     std::fs::write(&segment, lines.join("\n") + "\n").unwrap();
 
     let target = NetworkTarget::new("taurus", presets::taurus_openmpi_tcp(53));
-    let err = Campaign::new(&plan, target)
-        .shards(2)
-        .min_rows_per_shard(1)
-        .seed(53)
-        .store(&session)
-        .resume(true)
-        .run()
-        .unwrap_err();
+    let err = Campaign::new(&plan, target).shards(2).seed(53).store(&session).run().unwrap_err();
     assert!(err.to_string().contains("digest"), "{err}");
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -441,13 +391,7 @@ fn gc_keeps_in_flight_sessions_and_removes_true_debris() {
     // The session still works after gc: the campaign can checkpoint
     // and resume through it.
     let target = NetworkTarget::new("taurus", presets::taurus_openmpi_tcp(59));
-    Campaign::new(&plan, target)
-        .shards(2)
-        .min_rows_per_shard(1)
-        .seed(59)
-        .store(&session)
-        .run()
-        .unwrap();
+    Campaign::new(&plan, target).shards(2).seed(59).store(&session).run().unwrap();
     assert!(live
         .join("checkpoints")
         .join(format!("shard-0-of-{}.csv", batches_of(&plan, 2)))
@@ -496,14 +440,14 @@ fn cancelled_campaign_leaves_segments_but_no_manifest_and_resumes() {
     let fresh = run_campaign(&plan, 43, 4);
 
     let session = store.session(&plan, TARGET, Some(43), 4).unwrap();
-    assert!(!session.has_segments(), "fresh session starts with no segments");
+    let route = |observe| store.route(session.key(), observe).unwrap();
+    assert_eq!(route(false), Route::Execute, "fresh session starts with no segments");
     let token = charm_engine::CancelToken::new();
     let cancelling =
         CancelAfter { inner: &session, token: token.clone(), after: 1, saves: AtomicUsize::new(0) };
     let target = NetworkTarget::new("taurus", presets::taurus_openmpi_tcp(43));
     let err = Campaign::new(&plan, target)
         .shards(4)
-        .min_rows_per_shard(1)
         .seed(43)
         .store(&cancelling)
         .cancel_token(token)
@@ -517,7 +461,8 @@ fn cancelled_campaign_leaves_segments_but_no_manifest_and_resumes() {
     let run_dir = dir.join("runs").join(session.run_id().as_str());
     assert!(!run_dir.join("manifest.json").exists(), "cancelled run must not be finalized");
     assert!(!run_dir.join("records.csv").exists());
-    assert!(session.has_segments(), "the paid-for batches were retained");
+    assert_eq!(route(false), Route::Resume, "the paid-for batches were retained");
+    assert_eq!(route(true), Route::Execute, "an observed run never resumes");
     let segments = std::fs::read_dir(run_dir.join("checkpoints"))
         .unwrap()
         .filter_map(|e| e.ok())
@@ -531,18 +476,13 @@ fn cancelled_campaign_leaves_segments_but_no_manifest_and_resumes() {
     // A restarted service resumes off those segments and archives a
     // campaign byte-identical to an uninterrupted run.
     let target = NetworkTarget::new("taurus", presets::taurus_openmpi_tcp(43));
-    let resumed = Campaign::new(&plan, target)
-        .shards(4)
-        .min_rows_per_shard(1)
-        .seed(43)
-        .store(&session)
-        .resume(true)
-        .run()
-        .unwrap()
-        .data;
+    let resumed =
+        Campaign::new(&plan, target).shards(4).seed(43).store(&session).run().unwrap().data;
     assert_eq!(fresh.to_csv(), resumed.to_csv());
     let id = store.put_run(&key_of(&plan, 43, 4), "bench", "", &resumed, None).unwrap();
     assert_eq!(&id, session.run_id());
+    assert_eq!(route(false), Route::Replay(id.clone()), "the archive replays");
+    assert_eq!(route(true), Route::Measure(id), "it holds no counters to replay");
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -580,7 +520,6 @@ fn archive_every_artifact(store: &Store, seed: u64) -> (RunId, PathBuf) {
     let target = NetworkTarget::new("taurus", presets::taurus_openmpi_tcp(seed));
     let run = Campaign::new(&plan, target)
         .shards(2)
-        .min_rows_per_shard(1)
         .seed(seed)
         .observer(Observer::default())
         .store(&session)
